@@ -22,7 +22,7 @@ from .connections import (
     gauge_transform,
     leading_regular_diagonalize,
 )
-from .errors import IrrTypesError, MalformedInput, exit_code_for
+from .errors import IrrTypesError, MalformedInput, TooLarge, exit_code_for
 from .irregular import is_admissible, levi_filtration_of, root_order_vector
 from .rootsystems import RootSystem, build_root_system, enumerate_levi
 from .serialization import (
@@ -80,6 +80,9 @@ def _read_document(ns: argparse.Namespace) -> object:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise MalformedInput(f"input is not valid JSON: {err}") from err
+    except ValueError as err:
+        # Raised for integers beyond Python's int/str conversion limit.
+        raise TooLarge("input holds an integer literal with too many digits") from err
 
 
 def _emit(payload: object, mode: str) -> None:

@@ -50,7 +50,7 @@ class Unsupported(IrrTypesError):
 
 
 class TooLarge(IrrTypesError):
-    """Enumeration guard: the root system exceeds the size bound."""
+    """Resource guard: a request exceeds a size or work budget."""
 
     code = "TooLarge"
     category = "resource"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .errors import MalformedInput, TooLarge, Unsupported
 from .linalg import clear_denominators, in_row_span, kernel_basis, mat_rank, rref
@@ -41,7 +41,7 @@ class RootSystem:
         Optional label such as ``"A2"`` recording which builder made it.
     """
 
-    __slots__ = ("rank", "roots", "family", "_index", "_negation")
+    __slots__ = ("rank", "roots", "family", "_index", "_negation", "_flats")
 
     def __init__(self, rank: int, roots: Iterable[Sequence], family: str | None = None):
         if rank < 1:
@@ -70,6 +70,8 @@ class RootSystem:
         self.family = family
         self._index = index
         self._negation = tuple(negation)
+        # Span-closed member sets already produced by ``span_closure``.
+        self._flats: Set[FrozenSet[int]] = set()
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -155,17 +157,31 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def span_closure(system: RootSystem, members: Iterable[int]) -> FrozenSet[int]:
-    """Indices of all roots inside the rational span of the given ones."""
-    chosen = sorted(set(members))
-    for i in chosen:
+    """Indices of all roots inside the rational span of the given ones.
+
+    Every result is a flat of the system and is remembered on it, so
+    asking again for a known flat is a set lookup.  Such a set passed the
+    index check when its first closure was computed; any other input has
+    its indices checked before elimination.  Only results are stored,
+    never the sets asked about, so the memo holds at most one entry per
+    flat.
+    """
+    chosen = frozenset(members)
+    if chosen in system._flats:
+        return chosen
+    for i in sorted(chosen):
         if not 0 <= i < len(system):
             raise MalformedInput(f"root index {i} out of range")
-    if not chosen:
-        return frozenset()
-    echelon = rref([list(system.roots[i]) for i in chosen])
-    return frozenset(
-        i for i, root in enumerate(system.roots) if in_row_span(echelon, list(root))
-    )
+    closed = chosen
+    if chosen:
+        echelon = rref([list(system.roots[i]) for i in sorted(chosen)])
+        closed = chosen | frozenset(
+            i
+            for i, root in enumerate(system.roots)
+            if i not in chosen and in_row_span(echelon, list(root))
+        )
+    system._flats.add(closed)
+    return closed
 
 
 class LeviSubsystem:
@@ -242,10 +258,12 @@ class LeviFiltration:
 def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
     """All Levi subsystems, ordered by cardinality then member list.
 
-    Works by saturating closures: start from the empty closure and
-    repeatedly close the union with one extra root.  Every span-closed
-    subset arises this way because closures of growing generator chains
-    stay inside the target subset until they fill it.
+    Walks the flat lattice upward from the empty flat.  The lattice is
+    geometric, so for a flat F and a root i outside it the closure of
+    F + {i} is a flat covering F, and every flat covers a smaller one.
+    A root already inside a cover of F found while scanning F would only
+    give that cover again, so it is skipped: each flat costs one closure
+    per cover rather than one per root outside it.
     """
     if len(system) > ENUMERATION_GUARD:
         raise TooLarge(
@@ -255,13 +273,15 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
     frontier = [frozenset()]
     while frontier:
         base = frontier.pop()
+        covered = set(base)
         for i in range(len(system)):
-            if i in base:
+            if i in covered:
                 continue
-            closed = span_closure(system, set(base) | {i})
-            if closed not in seen:
-                seen.add(closed)
-                frontier.append(closed)
+            cover = span_closure(system, base | {i})
+            covered |= cover
+            if cover not in seen:
+                seen.add(cover)
+                frontier.append(cover)
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
     return [LeviSubsystem(system, members) for members in ordered]
 

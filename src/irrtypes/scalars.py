@@ -14,14 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import MalformedInput, NotAUnit
+from .errors import MalformedInput, NotAUnit, TooLarge
 
 _RAT_RE = _re.compile(r"^[+-]?\d+(/\d+)?$")
+
+# Digits allowed in the numerator or the denominator of a literal, read or
+# written; within Python's own int/str conversion limit of 4300 digits.
+LITERAL_DIGIT_BUDGET = 4300
+_LITERAL_BOUND = 10**LITERAL_DIGIT_BUDGET
 
 
 def rat_to_str(value: Fraction) -> str:
     """Format a rational as ``a`` or ``a/b`` (reduced, denominator > 0)."""
     value = Fraction(value)
+    if abs(value.numerator) >= _LITERAL_BOUND or value.denominator >= _LITERAL_BOUND:
+        raise TooLarge(f"rational exceeds {LITERAL_DIGIT_BUDGET} digits")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -32,6 +39,8 @@ def rat_from_str(text: str) -> Fraction:
     if not isinstance(text, str) or not _RAT_RE.match(text):
         raise MalformedInput(f"not a rational literal: {text!r}")
     num, slash, den = text.partition("/")
+    if max(len(num.lstrip("+-")), len(den)) > LITERAL_DIGIT_BUDGET:
+        raise TooLarge(f"rational literal exceeds {LITERAL_DIGIT_BUDGET} digits")
     if slash and int(den) == 0:
         raise MalformedInput(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den)) if slash else Fraction(int(num))

@@ -28,6 +28,7 @@ from .errors import (
     OrderTooLow,
     OutOfRange,
     ShapeMismatch,
+    TooLarge,
     ZeroPair,
 )
 from .irregular import IrregularType, RootOrderVector, root_pairing
@@ -266,6 +267,11 @@ def _proportionality(
     return c
 
 
+# Largest power a ratio is raised to while deciding orbit equivalence;
+# the size of c ** n grows linearly in n.
+ORBIT_EXPONENT_BUDGET = 1024
+
+
 def _extended_gcd_combination(values: Sequence[int]) -> Tuple[int, List[int]]:
     """(g, n) with sum n_i values_i = g = gcd, iteratively."""
     g = 0
@@ -310,6 +316,8 @@ def weighted_orbit_equivalent(
     over a Bezout combination sum n_j (w_j / g) = 1 is the only
     candidate for r^g, and r exists precisely when r0^{w_j / g} = c_j
     for every j.  The witness r itself may live outside the field.
+    Raises ``TooLarge`` when a power needed on the way exceeds
+    ``ORBIT_EXPONENT_BUDGET``.
     """
     if len(first) != len(second) or len(first) != len(weights):
         raise ShapeMismatch("coefficient lists and weights must share a length")
@@ -336,6 +344,11 @@ def weighted_orbit_equivalent(
     if not ratios:
         return True
     g, coeffs = _extended_gcd_combination([w for w, _ in ratios])
+    exponent = max(abs(n) for n in coeffs + [w // g for w, _ in ratios])
+    if exponent > ORBIT_EXPONENT_BUDGET:
+        raise TooLarge(
+            f"orbit test needs the power {exponent}; budget is {ORBIT_EXPONENT_BUDGET}"
+        )
     r0 = G_ONE
     for (w, c), n in zip(ratios, coeffs):
         r0 = r0 * c ** n

@@ -7,12 +7,16 @@ determinism assertion between repeated runs.
 
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import irrtypes
 from irrtypes import (
     ConnectionGerm,
     IrregularType,
@@ -225,6 +229,51 @@ class TestErrorChannel:
         )
         assert code == 3
         assert json.loads(out)["error"] == "TooLarge"
+
+    def test_huge_literal_exits_three(self, capsys, monkeypatch, tmp_path):
+        doc = {"rank": 1, "roots": [["9" * 5000], ["-" + "9" * 5000]], "family": None}
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["levi", "list", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.count("\n") == 1
+        payload = json.loads(captured.out)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "TooLarge"
+        assert "Traceback" not in captured.err
+
+    def test_huge_json_integer_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"rank": 1' + "0" * 5000 + "}"))
+        code = run(["levi", "list"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
+
+    def test_huge_result_exits_three(self, capsys, monkeypatch):
+        big = {"re": "9" * 3000, "im": "0"}
+        doc = {
+            "gamma": [2, 1, 1, 1],
+            "tau": {"re": "9" * 3000, "im": "1"},
+            "type": irregular_type_to_json(IrregularType(A1SPAN, 1, [[gauss(1)]])),
+        }
+        doc["type"]["coefficients"] = [[big]]
+        code, out = _invoke(capsys, monkeypatch, ["sl2z-act"], doc)
+        assert code == 3
+        assert json.loads(out)["error"] == "TooLarge"
+
+    def test_huge_orbit_weights_exit_three_promptly(self):
+        one = {"re": "1", "im": "0"}
+        two = {"re": "2", "im": "0"}
+        doc = {"first": [[one], [one]], "second": [[two], [two]], "weights": [1000000007, 1000000009]}
+        src = str(Path(irrtypes.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "irrtypes.cli", "orbit-equal"],
+            input=json.dumps(doc), capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert result.returncode == 3
+        assert json.loads(result.stdout)["error"] == "TooLarge"
+        assert "Traceback" not in result.stderr
 
     def test_unreadable_file_exits_one(self, capsys, monkeypatch, tmp_path):
         code, out = _invoke(capsys, monkeypatch, ["classify", "--input", str(tmp_path / "no.json")])

@@ -5,6 +5,7 @@ closes every subset of roots under rational spans using its own
 elimination code.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -133,7 +134,9 @@ class TestClosure:
 class TestEnumeration:
     @pytest.mark.parametrize(
         "family,rank,count",
-        [("A", 1, 2), ("A", 2, 5), ("B", 2, 6), ("G", 2, 8), ("D", 2, 4), ("B", 3, 24)],
+        [("A", 1, 2), ("A", 2, 5), ("B", 2, 6), ("G", 2, 8), ("D", 2, 4), ("B", 3, 24)]
+        # A_n: Bell numbers B(n+1), the set partitions of n+1 coordinates.
+        + [("A", 3, 15), ("A", 4, 52), ("A", 5, 203), ("C", 3, 24), ("D", 4, 72)],
     )
     def test_counts(self, family, rank, count):
         assert len(enumerate_levi(build_root_system(family, rank))) == count
@@ -154,6 +157,58 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_levi(build_root_system("A", 8))
+
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2)])
+    def test_permuted_roots_ordered_like_oracle(self, family, rank):
+        base = build_root_system(family, rank)
+        roots = list(base.roots)
+        random.Random(7).shuffle(roots)
+        system = RootSystem(base.rank, roots, family=f"{family}{rank}perm")
+        got = [levi.sorted_members() for levi in enumerate_levi(system)]
+        expected = sorted(
+            (tuple(sorted(s)) for s in _oracle_levi_sets(system)),
+            key=lambda m: (len(m), m),
+        )
+        assert got == expected
+
+
+class TestFlatMemo:
+    """Closures remembered by enumeration never weaken validation."""
+
+    @pytest.fixture
+    def filled(self):
+        system = build_root_system("B", 3)
+        return system, enumerate_levi(system)
+
+    def test_out_of_range_still_raises(self, filled):
+        system, _ = filled
+        with pytest.raises(MalformedInput):
+            span_closure(system, [0, len(system)])
+        with pytest.raises(MalformedInput):
+            span_closure(system, [-1])
+
+    def test_non_closed_sets_still_rejected(self, filled):
+        system, levis = filled
+        line = next(levi.members for levi in levis if len(levi) == 2)
+        partial = {min(line)}
+        with pytest.raises(MalformedInput):
+            LeviSubsystem(system, partial)
+        with pytest.raises(MalformedInput):
+            LeviFiltration(system, [set(), partial, set(range(len(system)))])
+
+    def test_known_flats_pass_unchanged(self, filled):
+        system, levis = filled
+        for levi in levis:
+            assert span_closure(system, levi.members) == levi.members
+            assert span_closure(system, sorted(levi.members)) == levi.members
+
+    def test_memo_bounded_by_flat_count(self, filled):
+        system, levis = filled
+        rng = random.Random(3)
+        for _ in range(150):
+            subset = rng.sample(range(len(system)), rng.randint(0, len(system)))
+            assert span_closure(system, subset) == _oracle_closure(system, subset)
+        assert len(system._flats) <= len(levis)
 
 
 class TestFiltration:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from irrtypes import G_I, G_ONE, G_ZERO, GaussianRational, MalformedInput, NotAUnit, gauss
-from irrtypes.scalars import rat_from_str, rat_to_str
+from irrtypes import G_I, G_ONE, G_ZERO, GaussianRational, MalformedInput, NotAUnit, TooLarge, gauss
+from irrtypes.scalars import LITERAL_DIGIT_BUDGET, rat_from_str, rat_to_str
 
 
 small_rat = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -35,6 +35,17 @@ class TestRationalFormat:
     def test_zero_denominator(self):
         with pytest.raises(MalformedInput):
             rat_from_str("1/0")
+
+    def test_digit_budget(self):
+        at_budget = "9" * LITERAL_DIGIT_BUDGET
+        assert rat_from_str(f"-{at_budget}/7") == Fraction(-int(at_budget), 7)
+        for text in ("9" * 5000, f"1/{'9' * 5000}", "-" + "0" * 5000 + "1"):
+            with pytest.raises(TooLarge):
+                rat_from_str(text)
+        assert rat_to_str(Fraction(-int(at_budget), 7)) == f"-{at_budget}/7"
+        for value in (Fraction(10**LITERAL_DIGIT_BUDGET), Fraction(1, -(10**LITERAL_DIGIT_BUDGET))):
+            with pytest.raises(TooLarge):
+                rat_to_str(value)
 
     @given(small_rat)
     def test_round_trip(self, q):

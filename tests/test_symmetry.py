@@ -27,6 +27,7 @@ from irrtypes import (
     RootSystem,
     SL2ZElement,
     ShapeMismatch,
+    TooLarge,
     TorusG2,
     UpperHalfPoint,
     ZeroPair,
@@ -314,6 +315,12 @@ class TestWeightedOrbits:
 
     def test_empty_support_both_sides(self):
         assert weighted_orbit_equivalent([[0]], [[0]], [3])
+
+    def test_exponent_budget(self):
+        with pytest.raises(TooLarge):
+            weighted_orbit_equivalent([[1], [1]], [[2], [2]], [1000000007, 1000000009])
+        # A large common factor is divided out before any power is taken.
+        assert weighted_orbit_equivalent([[1], [1]], [[4], [16]], [2 * 10**9, 4 * 10**9])
 
 
 class TestDMCheck:
