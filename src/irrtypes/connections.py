@@ -12,26 +12,46 @@ the residue order; extraction reads the diagonal principal part through
 the isomorphism sending z^{-l} to -l z^{-(l+1)} dz and discards the
 residue.  The diagonalization routine brings a leading-regular germ with
 Gaussian-rational spectrum to untwisted shape one pole order at a time.
+
+Products run on Python ints: a Laurent matrix (``_Lau``) holds
+Gaussian-integer coefficient matrices, as ``(re, im)`` pairs, over one
+positive integer denominator.  Germs and gauges convert to that form on
+the way in (``to_lau``) and are reduced back to Gaussian rationals once on
+the way out (``from_lau``).  Eigenvalues of the leading coefficient are
+found without factoring: Hensel lifting of the roots of its
+characteristic polynomial, scaled to be monic over Z[i], at a prime
+p = 1 (mod 4), then an exact check of each root (``_qi_eigenvalues``
+documents the method and its error order).
+
+Every gauge transform, diagonalization and gauge composition may spend
+at most ``GERM_WORK_BUDGET`` word operations; each product is charged
+before it runs, from the sizes of its operands, and an exhausted budget
+raises ``TooLarge``.  The Hensel step has its own bounds on the primes it
+tries (``HENSEL_PRIME_BUDGET``) and on the precision it lifts to
+(``HENSEL_BITS_BUDGET``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     LeadingNotRegular,
     MalformedInput,
+    NotAUnit,
     NotSplitOverField,
     OutOfRange,
     PrecisionExhausted,
     ShapeMismatch,
+    TooLarge,
     Twisted,
 )
 from .irregular import IrregularType
-from .linalg import kernel_basis, mat_identity, mat_inverse, mat_mul
+from .linalg import mat_identity
 from .rootsystems import RootSystem, build_root_system
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike
+from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, gauss
 from .series import LaurentTail, TruncatedSeries
 
 GMatrix = List[List[GaussianRational]]
@@ -50,67 +70,268 @@ def _zero_matrix(r: int) -> GMatrix:
     return [[G_ZERO for _ in range(r)] for _ in range(r)]
 
 
-class _Lau:
-    """Matrix Laurent polynomial with a knowledge bound.
+GInt = Tuple[int, int]
+IMatrix = List[List[GInt]]
 
-    ``coeffs`` maps orders to r x r matrices; orders at or above ``hi``
-    are unknown (``hi`` None means exactly known everywhere).  ``floor``
-    is a valuation lower bound used for propagating knowledge through
-    products.
+
+def _to_gi(value: GaussianRational, den: int) -> GInt:
+    return (
+        value.re.numerator * (den // value.re.denominator),
+        value.im.numerator * (den // value.im.denominator),
+    )
+
+
+def _from_gi(value: GInt, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
+
+
+def _common_denominator(values, max_bits: int) -> int:
+    """lcm of the denominators; ``TooLarge`` as soon as it passes ``max_bits``."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.re.denominator, v.im.denominator)
+        if den.bit_length() > max_bits:
+            raise TooLarge(f"common denominator exceeds {max_bits} bits")
+    return den
+
+
+def _bits(matrices) -> int:
+    return max((x.bit_length() for m in matrices for row in m for g in row for x in g), default=0)
+
+
+# Work one gauge transform, diagonalization or gauge composition may do, in
+# 64-bit word operations: a multiplication or gcd of integers totalling s
+# words costs s^2.  A 10 x 10 germ of window 13 with small entries, gauged
+# by a polynomial of order 3, needs about 9 x 10^7 (0.2 s on a 2-vCPU
+# machine); the budget stops any request within a few seconds.
+GERM_WORK_BUDGET = 10**9
+
+
+class _Work:
+    """What one public call may still spend; each step is charged before it runs."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = GERM_WORK_BUDGET
+
+    def charge(self, operations: int, bits: int) -> None:
+        """Pay for ``operations`` multiplications or gcds of operands totalling ``bits`` bits."""
+        s = 1 + bits // 64
+        self.left -= operations * s * s
+        if self.left < 0:
+            raise TooLarge(f"connection work exceeds the budget of {GERM_WORK_BUDGET}")
+
+    def charge_reduction(self, lau: "_Lau") -> None:
+        """Pay for reducing each entry of ``lau`` over its denominator: two gcds."""
+        bits = _bits(lau.coeffs.values()) + lau.den.bit_length()
+        self.charge(2 * lau.r**2 * len(lau.coeffs), bits)
+
+    def max_bits(self, r: int) -> int:
+        """Operand size past which one more r x r product cannot be paid."""
+        return 64 * isqrt(self.left // r**3)
+
+
+def _gi_mul(a: GInt, b: GInt) -> GInt:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gi_sub(a: GInt, b: GInt) -> GInt:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _gi_exact_div(a: GInt, b: GInt) -> GInt:
+    """a / b for a Gaussian integer b that divides a."""
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n)
+
+
+def _gi_round_div(a: GInt, b: GInt) -> GInt:
+    """The Gaussian integer nearest to a / b (halves round up)."""
+    n = b[0] * b[0] + b[1] * b[1]
+    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+    return ((2 * re + n) // (2 * n), (2 * im + n) // (2 * n))
+
+
+def _gi_mat_mul(a: IMatrix, b: IMatrix) -> IMatrix:
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            re = im = 0
+            for (x, u), (y, v) in zip(row, col):
+                re += x * y - u * v
+                im += x * v + u * y
+            out_row.append((re, im))
+        out.append(out_row)
+    return out
+
+
+def _gi_mat_add(a: IMatrix, b: IMatrix) -> IMatrix:
+    return [[(x[0] + y[0], x[1] + y[1]) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _gi_mat_scale(a: IMatrix, c: GInt) -> IMatrix:
+    return [[_gi_mul(x, c) for x in row] for row in a]
+
+
+def _gi_identity(n: int) -> IMatrix:
+    return [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+
+
+def _gi_char_poly(a: IMatrix) -> List[GInt]:
+    """Characteristic polynomial, monic and highest degree first.
+
+    Faddeev-LeVerrier: over the Gaussian integers the k-th trace is an
+    exact multiple of k.
+    """
+    n = len(a)
+    coeffs, m = [(1, 0)], _gi_identity(n)
+    for k in range(1, n + 1):
+        m = _gi_mat_mul(a, m)
+        ck = (-sum(m[i][i][0] for i in range(n)) // k, -sum(m[i][i][1] for i in range(n)) // k)
+        coeffs.append(ck)
+        for i in range(n):
+            m[i][i] = (m[i][i][0] + ck[0], m[i][i][1] + ck[1])
+    return coeffs
+
+
+def _gi_rref(m: IMatrix, ncols: int, work: _Work) -> Tuple[IMatrix, List[int], GInt]:
+    """Fraction-free Gauss-Jordan over the Gaussian integers, on the first ``ncols`` columns.
+
+    Returns (rows, pivot columns, p).  Every division by the previous
+    pivot is exact; each pivot row ends with p at its own pivot column
+    and zero at the others, and the rows past the rank are zero.  For a
+    square m of full rank, p is its determinant up to sign.  Each pivot
+    step is charged to ``work`` before it runs: an update of one entry
+    costs about five multiplications.
+    """
+    rows = [list(row) for row in m]
+    prev: GInt = (1, 0)
+    pivots: List[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(rows)) if rows[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        p, row_k = rows[k][col], rows[k]
+        work.charge(5 * len(rows) * len(row_k), 2 * _bits([[row_k]]))
+        for i in range(len(rows)):
+            if i == k:
+                continue
+            f = rows[i][col]
+            rows[i] = [
+                _gi_exact_div(_gi_sub(_gi_mul(p, x), _gi_mul(f, y)), prev)
+                for x, y in zip(rows[i], row_k)
+            ]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots, prev
+
+
+def _gi_mat_inverse(m: IMatrix, work: _Work) -> Tuple[IMatrix, int]:
+    """(Y, d) with m^{-1} = Y / d and d a positive integer.
+
+    Raises ``NotAUnit`` when m is singular.
+    """
+    n = len(m)
+    rows, pivots, p = _gi_rref([list(row) + unit for row, unit in zip(m, _gi_identity(n))], n, work)
+    if len(pivots) < n:
+        raise NotAUnit("matrix is singular")
+    # rows = [p I | p m^{-1}]; move p's phase into Y, then divide out the
+    # content Y and d share (a scalar m gives Y = I).
+    y = _gi_mat_scale([row[n:] for row in rows], (p[0], -p[1]))
+    d = p[0] ** 2 + p[1] ** 2
+    g = gcd(d, *(x for row in y for pair in row for x in pair))
+    return [[(re // g, im // g) for re, im in row] for row in y], d // g
+
+
+class _Lau:
+    """Matrix Laurent polynomial with a knowledge bound, over one denominator.
+
+    ``coeffs`` maps orders to r x r matrices of Gaussian integers, each
+    an ``(re, im)`` pair of ints; the coefficient at order l is
+    ``coeffs[l] / den`` for the positive integer ``den``.  Nothing is
+    reduced here: products multiply denominators and sums take their
+    lcm, and ``ConnectionGerm.from_lau`` reduces once.  Orders at or
+    above ``hi`` are unknown (``hi`` None means exactly known
+    everywhere).  ``floor`` is a valuation lower bound used for
+    propagating knowledge through products.
     """
 
-    __slots__ = ("r", "coeffs", "hi", "floor")
+    __slots__ = ("r", "coeffs", "den", "hi", "floor")
 
-    def __init__(self, r: int, coeffs: Dict[int, GMatrix], hi: Optional[int], floor: int):
+    def __init__(self, r: int, coeffs: Dict[int, IMatrix], den: int, hi: Optional[int], floor: int):
         self.r = r
-        self.coeffs = {l: m for l, m in coeffs.items() if any(any(x for x in row) for row in m)}
+        self.coeffs = {l: m for l, m in coeffs.items() if any(x != (0, 0) for row in m for x in row)}
+        self.den = den
         self.hi = hi
         self.floor = floor
         for l in self.coeffs:
             if l < floor or (hi is not None and l >= hi):
                 raise MalformedInput("Laurent coefficient outside the known window")
 
-    def coefficient(self, order: int) -> GMatrix:
-        return self.coeffs.get(order, _zero_matrix(self.r))
+    @staticmethod
+    def of(r: int, matrices: Dict[int, GMatrix], hi: Optional[int], floor: int, work: _Work) -> "_Lau":
+        """Exact integer form of Gaussian-rational coefficient matrices.
+
+        ``TooLarge`` when the common denominator alone would make one
+        product cost more than ``work`` has left.
+        """
+        values = (x for m in matrices.values() for row in m for x in row)
+        den = _common_denominator(values, work.max_bits(r))
+        coeffs = {l: [[_to_gi(x, den) for x in row] for row in m] for l, m in matrices.items()}
+        return _Lau(r, coeffs, den, hi, floor)
+
+    def matrix(self, order: int) -> GMatrix:
+        """The coefficient at ``order`` as a reduced Gaussian-rational matrix."""
+        m = self.coeffs.get(order)
+        if m is None:
+            return _zero_matrix(self.r)
+        return [[_from_gi(x, self.den) for x in row] for row in m]
 
     def add(self, other: "_Lau") -> "_Lau":
         hi = _min_hi(self.hi, other.hi)
-        out: Dict[int, GMatrix] = {}
+        den = lcm(self.den, other.den)
+        fa, fb = (den // self.den, 0), (den // other.den, 0)
+        out: Dict[int, IMatrix] = {}
         for l in set(self.coeffs) | set(other.coeffs):
             if hi is not None and l >= hi:
                 continue
-            a, b = self.coefficient(l), other.coefficient(l)
-            out[l] = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        return _Lau(self.r, out, hi, min(self.floor, other.floor))
+            a, b = self.coeffs.get(l), other.coeffs.get(l)
+            if a is None:
+                out[l] = _gi_mat_scale(b, fb)
+            elif b is None:
+                out[l] = _gi_mat_scale(a, fa)
+            else:
+                out[l] = _gi_mat_add(_gi_mat_scale(a, fa), _gi_mat_scale(b, fb))
+        return _Lau(self.r, out, den, hi, min(self.floor, other.floor))
 
-    def mul(self, other: "_Lau") -> "_Lau":
+    def mul(self, other: "_Lau", work: _Work) -> "_Lau":
         hi = _min_hi(
             None if self.hi is None else self.hi + other.floor,
             None if other.hi is None else other.hi + self.floor,
         )
-        out: Dict[int, GMatrix] = {}
-        for la, ma in self.coeffs.items():
-            for lb, mb in other.coeffs.items():
-                l = la + lb
-                if hi is not None and l >= hi:
-                    continue
-                prod = mat_mul(ma, mb)
-                if l in out:
-                    out[l] = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(out[l], prod)]
-                else:
-                    out[l] = prod
-        return _Lau(self.r, out, hi, self.floor + other.floor)
+        pairs = [
+            (la, lb) for la in self.coeffs for lb in other.coeffs if hi is None or la + lb < hi
+        ]
+        work.charge(len(pairs) * self.r**3, _bits(self.coeffs.values()) + _bits(other.coeffs.values()))
+        out: Dict[int, IMatrix] = {}
+        for la, lb in pairs:
+            prod = _gi_mat_mul(self.coeffs[la], other.coeffs[lb])
+            l = la + lb
+            out[l] = _gi_mat_add(out[l], prod) if l in out else prod
+        return _Lau(self.r, out, self.den * other.den, hi, self.floor + other.floor)
 
     def derivative(self) -> "_Lau":
-        out: Dict[int, GMatrix] = {}
-        for l, m in self.coeffs.items():
-            if l == 0:
-                continue
-            factor = GaussianRational.of(l)
-            out[l - 1] = [[x * factor for x in row] for row in m]
+        out = {l - 1: _gi_mat_scale(m, (l, 0)) for l, m in self.coeffs.items() if l}
         hi = None if self.hi is None else self.hi - 1
         floor = self.floor if self.floor == 0 else self.floor - 1
-        return _Lau(self.r, out, hi, floor)
+        return _Lau(self.r, out, self.den, hi, floor)
 
 
 def _min_hi(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -121,25 +342,32 @@ def _min_hi(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-def _series_matrix_inverse(poly: "_Lau", order: int) -> "_Lau":
-    """Inverse of an exactly known polynomial matrix, modulo z^order."""
+def _series_matrix_inverse(poly: "_Lau", order: int, work: _Work) -> "_Lau":
+    """Inverse of an exactly known polynomial matrix, modulo z^order.
+
+    With poly = G / D and G_0^{-1} = Y / d, the integer matrices
+    W_l = d^{l+1} (G^{-1})_l satisfy W_0 = Y and
+    W_l = -Y sum_{a=1..l} d^{a-1} G_a W_{l-a}; the result is
+    D W_l d^{order-1-l} over the shared denominator d^order.
+    """
     if poly.floor < 0 or poly.hi is not None:
         raise MalformedInput("series inversion needs an exact non-negative-order input")
     r = poly.r
-    const = poly.coefficient(0)
-    inv0 = mat_inverse(const, G_ONE, G_ZERO)
-    out: Dict[int, GMatrix] = {0: inv0}
+    zero = [[(0, 0)] * r for _ in range(r)]
+    g_bits = _bits(poly.coeffs.values())
+    y, d = _gi_mat_inverse(poly.coeffs.get(0, zero), work)
+    w, w_bits = [y], _bits([y])
     for l in range(1, order):
-        acc = _zero_matrix(r)
-        for a in range(1, l + 1):
-            ga = poly.coeffs.get(a)
-            if ga is None:
-                continue
-            prod = mat_mul(ga, out[l - a])
-            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, prod)]
-        neg = mat_mul(inv0, acc)
-        out[l] = [[-x for x in row] for row in neg]
-    return _Lau(r, out, order, 0)
+        present = [a for a in range(1, l + 1) if a in poly.coeffs]
+        work.charge((len(present) + 1) * r**3, 2 * (g_bits + w_bits + l * d.bit_length()))
+        acc = None
+        for a in present:
+            term = _gi_mat_scale(_gi_mat_mul(poly.coeffs[a], w[l - a]), (d ** (a - 1), 0))
+            acc = term if acc is None else _gi_mat_add(acc, term)
+        w.append(zero if acc is None else _gi_mat_scale(_gi_mat_mul(y, acc), (-1, 0)))
+        w_bits = max(w_bits, _bits([w[-1]]))
+    out = {l: _gi_mat_scale(w[l], (poly.den * d ** (order - 1 - l), 0)) for l in range(order)}
+    return _Lau(r, out, d**order, order, 0)
 
 
 class GaugeElement:
@@ -166,7 +394,10 @@ class GaugeElement:
             for row in entries
         )
         const = [[coerced[i][j][0] for j in range(r)] for i in range(r)]
-        mat_inverse(const, G_ONE, G_ZERO)  # raises NotAUnit when singular
+        work = _Work()
+        den = _common_denominator((x for row in const for x in row), work.max_bits(r))
+        # raises NotAUnit when singular
+        _gi_mat_inverse([[_to_gi(x, den) for x in row] for row in const], work)
         self.r = r
         self.order = order
         self.entries = coerced
@@ -190,13 +421,20 @@ class GaugeElement:
         ident = mat_identity(self.r, G_ONE, G_ZERO)
         return self.constant_term() == ident
 
-    def to_lau(self) -> _Lau:
-        coeffs: Dict[int, GMatrix] = {}
-        for l in range(self.order):
-            m = [[self.entries[i][j][l] for j in range(self.r)] for i in range(self.r)]
-            if any(any(x for x in row) for row in m):
-                coeffs[l] = m
-        return _Lau(self.r, coeffs, None, 0)
+    def to_lau(self, work: _Work) -> _Lau:
+        matrices = {
+            l: [[self.entries[i][j][l] for j in range(self.r)] for i in range(self.r)]
+            for l in range(self.order)
+        }
+        return _Lau.of(self.r, matrices, None, 0, work)
+
+    @staticmethod
+    def from_lau(lau: _Lau, order: int) -> "GaugeElement":
+        matrices = [lau.matrix(l) for l in range(order)]
+        return GaugeElement(
+            lau.r,
+            [[[m[i][j] for m in matrices] for j in range(lau.r)] for i in range(lau.r)],
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -212,18 +450,15 @@ class GaugeElement:
 
 def gauge_compose(second: GaugeElement, first: GaugeElement) -> GaugeElement:
     """Polynomial product second * first: apply ``first``, then ``second``."""
+    return _compose(second, first, _Work())
+
+
+def _compose(second: GaugeElement, first: GaugeElement, work: _Work) -> GaugeElement:
     if second.r != first.r:
         raise ShapeMismatch("gauge sizes differ")
-    prod = second.to_lau().mul(first.to_lau())
-    order = second.order + first.order - 1
-    entries = [
-        [
-            [prod.coefficient(l)[i][j] for l in range(order)]
-            for j in range(first.r)
-        ]
-        for i in range(first.r)
-    ]
-    return GaugeElement(first.r, entries)
+    prod = second.to_lau(work).mul(first.to_lau(work), work)
+    work.charge_reduction(prod)
+    return GaugeElement.from_lau(prod, second.order + first.order - 1)
 
 
 class ConnectionGerm:
@@ -299,13 +534,11 @@ class ConnectionGerm:
             [self.coefficient(i, j, order) for j in range(self.r)] for i in range(self.r)
         ]
 
-    def to_lau(self) -> _Lau:
-        coeffs: Dict[int, GMatrix] = {}
-        for l in range(-(self.pole_bound + 1), self.precision):
-            m = self.coefficient_matrix(l)
-            if any(any(x for x in row) for row in m):
-                coeffs[l] = m
-        return _Lau(self.r, coeffs, self.precision, -(self.pole_bound + 1))
+    def to_lau(self, work: _Work) -> _Lau:
+        matrices = {
+            l: self.coefficient_matrix(l) for l in range(-(self.pole_bound + 1), self.precision)
+        }
+        return _Lau.of(self.r, matrices, self.precision, -(self.pole_bound + 1), work)
 
     @staticmethod
     def from_lau(lau: _Lau, pole_bound: int) -> "ConnectionGerm":
@@ -313,10 +546,10 @@ class ConnectionGerm:
             raise MalformedInput("a germ needs a finite precision bound")
         if lau.hi < 1:
             raise PrecisionExhausted("resulting germ has no regular coefficients left")
-        data = dict(lau.coeffs)
-        for l in data:
+        for l in lau.coeffs:
             if l < -(pole_bound + 1):
                 raise MalformedInput("pole deeper than the declared bound")
+        data = {l: lau.matrix(l) for l in lau.coeffs}
         return ConnectionGerm.from_order_dict(lau.r, pole_bound, lau.hi, data)
 
     def __eq__(self, other: object) -> bool:
@@ -335,21 +568,24 @@ class ConnectionGerm:
 
 
 def gauge_transform(germ: ConnectionGerm, g: GaugeElement) -> ConnectionGerm:
-    """Apply g M g^{-1} + dg g^{-1}; precision follows the germ.
+    """Apply g M g^{-1} + dg g^{-1} = (g M + dg) g^{-1}; precision follows the germ.
 
     The inverse is computed far enough past the pole that the only
     unknown orders are the germ's own, so the output window equals the
-    input window.
+    input window.  ``TooLarge`` when the products would exceed
+    ``GERM_WORK_BUDGET``.
     """
+    return _transform(germ, g, _Work())
+
+
+def _transform(germ: ConnectionGerm, g: GaugeElement, work: _Work) -> ConnectionGerm:
     if germ.r != g.r:
         raise ShapeMismatch("gauge and germ sizes differ")
     depth = germ.pole_bound + 1
-    glau = g.to_lau()
-    ginv = _series_matrix_inverse(glau, germ.precision + depth)
-    m = germ.to_lau()
-    conjugated = glau.mul(m).mul(ginv)
-    correction = glau.derivative().mul(ginv)
-    total = conjugated.add(correction)
+    glau = g.to_lau(work)
+    ginv = _series_matrix_inverse(glau, germ.precision + depth, work)
+    total = glau.mul(germ.to_lau(work), work).add(glau.derivative()).mul(ginv, work)
+    work.charge_reduction(total)
     return ConnectionGerm.from_lau(total, germ.pole_bound)
 
 
@@ -400,72 +636,144 @@ def verify_framing_invariance(germ: ConnectionGerm, g: GaugeElement) -> bool:
     return extract_irregular_type(germ) == extract_irregular_type(transformed)
 
 
-def _to_sympy_gauss(value: GaussianRational):
-    import sympy
-
-    return sympy.Rational(value.re.numerator, value.re.denominator) + sympy.Rational(
-        value.im.numerator, value.im.denominator
-    ) * sympy.I
-
-
-def _from_sympy_gauss(expr) -> GaussianRational:
-    import sympy
-
-    re_part, im_part = sympy.expand(expr).as_real_imag()
-    re_q = sympy.Rational(re_part)
-    im_q = sympy.Rational(im_part)
-    return GaussianRational(
-        Fraction(int(re_q.p), int(re_q.q)), Fraction(int(im_q.p), int(im_q.q))
-    )
+# Split primes p = 1 (mod 4) tried in turn for one whose residue roots are
+# all simple; more than this many bad primes raises TooLarge.
+HENSEL_PRIME_BUDGET = 64
+# Largest p-adic precision, in bits, that separating the roots may need:
+# p^k must exceed 4 B^2 for the root bound B of the integer-scaled matrix.
+HENSEL_BITS_BUDGET = 1 << 16
 
 
-def _qi_eigenvalues(matrix: GMatrix) -> List[GaussianRational]:
-    """Distinct eigenvalues in the Gaussian rationals, sorted.
+def _split_primes():
+    p = 5
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
 
-    Raises ``LeadingNotRegular`` on any repeated eigenvalue (split or
-    not) and ``NotSplitOverField`` when an eigenvalue lies outside the
-    field.  Exact: factors the characteristic polynomial over the
-    Gaussian rationals.
+
+def _poly_eval(coeffs: Sequence[int], x: int, modulus: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % modulus
+    return acc
+
+
+def _has_repeated_root(coeffs: List[GaussianRational]) -> bool:
+    """Whether gcd(f, f') has positive degree; f monic, highest degree first."""
+    n = len(coeffs) - 1
+    a, b = coeffs, [c * (n - j) for j, c in enumerate(coeffs[:-1])]
+    while b:
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+            while a and not a[0]:
+                a = a[1:]
+        a, b = b, a
+    return len(a) > 1
+
+
+def _gaussian_integer_roots(f: List[GInt], bound: int) -> List[GInt]:
+    """Every root of the monic Z[i] polynomial f of absolute value <= bound.
+
+    Picks a prime p = 1 (mod 4) at which every root of f modulo the
+    Gaussian prime pi | p is simple, lifts those roots by Newton steps to
+    modulo p^k > 4 bound^2 (where i is a lifted square root of -1), reads
+    each lift as the Gaussian integer of least absolute value in its
+    class modulo pi^k, and keeps the ones that are exact roots of f.
     """
-    import sympy
+    deriv = [(re * (len(f) - 1 - j), im * (len(f) - 1 - j)) for j, (re, im) in enumerate(f[:-1])]
+    for attempt, p in enumerate(_split_primes()):
+        if attempt == HENSEL_PRIME_BUDGET:
+            raise TooLarge(f"no suitable prime among the first {HENSEL_PRIME_BUDGET} split primes")
+        s = next(pow(g, (p - 1) // 4, p) for g in range(2, p) if pow(g, (p - 1) // 2, p) == p - 1)
+        image = [(re + im * s) % p for re, im in f]
+        residues = [t for t in range(p) if not _poly_eval(image, t, p)]
+        image_deriv = [(re + im * s) % p for re, im in deriv]
+        if any(not _poly_eval(image_deriv, t, p) for t in residues):
+            continue
+        k, modulus = 1, p
+        while modulus <= 4 * bound * bound:
+            k, modulus = k + 1, modulus * p
+        m = p
+        while m < modulus:
+            m = min(m * m, modulus)
+            s = (s - (s * s + 1) * pow(2 * s, -1, m)) % m
+            image = [(re + im * s) % m for re, im in f]
+            image_deriv = [(re + im * s) % m for re, im in deriv]
+            residues = [
+                (t - _poly_eval(image, t, m) * pow(_poly_eval(image_deriv, t, m), -1, m)) % m
+                for t in residues
+            ]
+        # i -> s (mod p^k) has kernel pi^k for the Gaussian prime pi = gcd(p, s - i).
+        a, b = (p, 0), (s % p, -1)
+        while b != (0, 0):
+            a, b = b, _gi_sub(a, _gi_mul(_gi_round_div(a, b), b))
+        pik = (1, 0)
+        for _ in range(k):
+            pik = _gi_mul(pik, a)
+        roots = []
+        for t in residues:
+            x = _gi_sub((t, 0), _gi_mul(_gi_round_div((t, 0), pik), pik))
+            value = (0, 0)
+            for c in f:
+                value = _gi_mul(value, x)
+                value = (value[0] + c[0], value[1] + c[1])
+            if value == (0, 0):
+                roots.append(x)
+        return roots
 
-    from .linalg import char_poly
 
+def _qi_eigenvalues(matrix: GMatrix, work: _Work) -> List[GaussianRational]:
+    """Distinct eigenvalues in the Gaussian rationals, sorted by (re, im).
+
+    Exact, without factoring.  With c the common denominator of the
+    entries, cA has Gaussian-integer entries, so its characteristic
+    polynomial f is monic over Z[i] and every eigenvalue of cA in Q(i)
+    is a Gaussian integer of absolute value at most B, the largest row
+    sum of |re| + |im| over cA.  Checks, in this order:
+
+    - ``TooLarge`` when separating roots of that size would need a
+      p-adic precision above ``HENSEL_BITS_BUDGET`` bits, or when
+      computing f would overdraw ``work``;
+    - ``LeadingNotRegular`` when gcd(f, f') has positive degree, that
+      is on any repeated eigenvalue, split or not;
+    - ``TooLarge`` when none of the first ``HENSEL_PRIME_BUDGET`` split
+      primes leaves the residue roots of f simple;
+    - ``NotSplitOverField`` when Hensel lifting finds fewer than r
+      Gaussian-integer roots of f, that is when an eigenvalue lies
+      outside the field.
+    """
     n = len(matrix)
-    coeffs = char_poly(matrix, G_ONE, G_ZERO)
-    lam = sympy.Symbol("lam")
-    expr = sum(
-        _to_sympy_gauss(c) * lam ** (n - i) for i, c in enumerate(coeffs)
-    )
-    poly = sympy.Poly(expr, lam, domain="QQ_I")
-    _, factors = poly.factor_list()
-    roots: List[GaussianRational] = []
-    for factor, exponent in factors:
-        if exponent > 1:
-            raise LeadingNotRegular("leading coefficient has a repeated eigenvalue")
-        if factor.degree() > 1:
-            raise NotSplitOverField(
-                "an eigenvalue of the leading coefficient is not Gaussian rational"
-            )
-        a, b = factor.all_coeffs()
-        roots.append(_from_sympy_gauss(-b / a))
-    roots.sort(key=lambda v: (v.re, v.im))
-    return roots
+    c = _common_denominator((x for row in matrix for x in row), HENSEL_BITS_BUDGET)
+    scaled = [[_to_gi(x, c) for x in row] for row in matrix]
+    bound = max(1, max(sum(abs(re) + abs(im) for re, im in row) for row in scaled))
+    if (4 * bound * bound).bit_length() > HENSEL_BITS_BUDGET:
+        raise TooLarge(f"eigenvalue search needs more than {HENSEL_BITS_BUDGET} bits")
+    # n products for f, whose entries reach n times the size of cA.
+    work.charge(4 * n**4, 2 * n * _bits([scaled]))
+    f = _gi_char_poly(scaled)
+    if _has_repeated_root([gauss(re, im) for re, im in f]):
+        raise LeadingNotRegular("leading coefficient has a repeated eigenvalue")
+    roots = _gaussian_integer_roots(f, bound)
+    if len(roots) < n:
+        raise NotSplitOverField("an eigenvalue of the leading coefficient is not Gaussian rational")
+    return [_from_gi(x, c) for x in sorted(roots)]
 
 
-def _eigenvector(matrix: GMatrix, eigenvalue: GaussianRational) -> List[GaussianRational]:
-    n = len(matrix)
-    shifted = [
-        [matrix[i][j] - (eigenvalue if i == j else G_ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-    basis = kernel_basis(shifted, n, G_ONE, G_ZERO)
-    if len(basis) != 1:
+def _eigenvector(scaled: IMatrix, x: GInt, work: _Work) -> List[GInt]:
+    """The kernel vector of scaled - x I read off its fraction-free RREF."""
+    n = len(scaled)
+    shifted = [[_gi_sub(a, x) if i == j else a for j, a in enumerate(row)] for i, row in enumerate(scaled)]
+    rows, pivots, p = _gi_rref(shifted, n, work)
+    if len(pivots) != n - 1:
         raise LeadingNotRegular("eigenvalue is not geometrically simple")
-    vec = basis[0]
-    lead = next(x for x in vec if x)
-    inv = lead.inverse()
-    return [x * inv for x in vec]
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [(0, 0)] * n
+    vec[free] = p
+    for row, col in zip(rows, pivots):
+        vec[col] = (-row[free][0], -row[free][1])
+    return vec
 
 
 def _principal_diagonal_ok(germ: ConnectionGerm) -> bool:
@@ -486,7 +794,9 @@ def leading_regular_diagonalize(
     eigenvalues.  A constant gauge moves to the eigenbasis; then for
     each principal order above the leading one, a commutator equation
     against the leading diagonal removes the off-diagonal part without
-    disturbing anything below.  Needs k >= 1 and precision >= k.
+    disturbing anything below.  Needs k >= 1 and precision >= k.  Every
+    product of the whole diagonalization draws on one
+    ``GERM_WORK_BUDGET``; ``TooLarge`` when it runs out.
     """
     k = germ.pole_bound
     if k < 1:
@@ -502,12 +812,19 @@ def leading_regular_diagonalize(
         if len({(d.re, d.im) for d in diag}) != r:
             raise LeadingNotRegular("repeated leading diagonal entries")
         return GaugeElement.identity(r), germ
-    values = _qi_eigenvalues(leading)
-    columns = [_eigenvector(leading, lam) for lam in values]
-    change = [[columns[j][i] for j in range(r)] for i in range(r)]
-    constant = mat_inverse(change, G_ONE, G_ZERO)
+    work = _Work()
+    values = _qi_eigenvalues(leading, work)
+    # The change of basis has the eigenvectors v_j, scaled to lead with 1,
+    # as columns: with V their integer matrix and L = diag(lead_j), the
+    # constant gauge is its inverse L V^{-1}.
+    c = _common_denominator((x for row in leading for x in row), HENSEL_BITS_BUDGET)
+    scaled = [[_to_gi(x, c) for x in row] for row in leading]
+    vectors = [_eigenvector(scaled, _to_gi(lam, c), work) for lam in values]
+    y, d = _gi_mat_inverse([[v[i] for v in vectors] for i in range(r)], work)
+    leads = [next(x for x in v if x != (0, 0)) for v in vectors]
+    constant = [[_from_gi(_gi_mul(leads[j], y[j][i]), d) for i in range(r)] for j in range(r)]
     total = GaugeElement.from_constant(constant)
-    current = gauge_transform(germ, total)
+    current = _transform(germ, total, work)
     for j in range(1, k):
         target = j - k - 1
         coeff = current.coefficient_matrix(target)
@@ -528,8 +845,8 @@ def leading_regular_diagonalize(
             for a in range(r)
         ]
         step = GaugeElement(r, entries)
-        current = gauge_transform(current, step)
-        total = gauge_compose(step, total)
+        current = _transform(current, step, work)
+        total = _compose(step, total, work)
     if not is_untwisted_in_basis(current):
         raise LeadingNotRegular("diagonalization failed to clear the principal part")
     return total, current

@@ -8,6 +8,7 @@ determinism assertion between repeated runs.
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -40,6 +41,12 @@ from irrtypes.serialization import (
 
 A1 = build_root_system("A", 1)
 A1SPAN = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
+
+
+def _src_env():
+    """Environment for a child interpreter that imports this checkout's irrtypes."""
+    src = str(Path(irrtypes.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def _invoke(capsys, monkeypatch, argv, document=None):
@@ -265,20 +272,68 @@ class TestErrorChannel:
         one = {"re": "1", "im": "0"}
         two = {"re": "2", "im": "0"}
         doc = {"first": [[one], [one]], "second": [[two], [two]], "weights": [1000000007, 1000000009]}
-        src = str(Path(irrtypes.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run(
             [sys.executable, "-m", "irrtypes.cli", "orbit-equal"],
-            input=json.dumps(doc), capture_output=True, text=True, env=env, timeout=10,
+            input=json.dumps(doc), capture_output=True, text=True, env=_src_env(), timeout=10,
         )
         assert result.returncode == 3
         assert json.loads(result.stdout)["error"] == "TooLarge"
+        assert "Traceback" not in result.stderr
+
+    def test_oversized_gauge_request_exits_three_promptly(self):
+        rng = random.Random(11)
+        r, k, n, order = 20, 4, 8, 3
+
+        def scalar():
+            return {"re": str(rng.randint(-9, 9)), "im": str(rng.randint(-1, 1))}
+
+        germ = {
+            "r": r, "pole_bound": k, "precision": n,
+            "entries": [
+                [{"tail": [scalar() for _ in range(k + 1)], "regular": [scalar() for _ in range(n)]} for _ in range(r)]
+                for _ in range(r)
+            ],
+        }
+        gauge = {"r": r, "precision": order, "entries": [[[scalar() for _ in range(order)] for _ in range(r)] for _ in range(r)]}
+        result = subprocess.run(
+            [sys.executable, "-m", "irrtypes.cli", "connection", "gauge"],
+            input=json.dumps({"germ": germ, "gauge": gauge}), capture_output=True, text=True,
+            env=_src_env(), timeout=10,
+        )
+        assert result.returncode == 3
+        assert result.stdout.count("\n") == 1
+        payload = json.loads(result.stdout)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "TooLarge"
         assert "Traceback" not in result.stderr
 
     def test_unreadable_file_exits_one(self, capsys, monkeypatch, tmp_path):
         code, out = _invoke(capsys, monkeypatch, ["classify", "--input", str(tmp_path / "no.json")])
         assert code == 1
         assert json.loads(out)["error"] == "MalformedInput"
+
+
+class TestRuntimeDependencies:
+    def test_diagonalize_runs_without_sympy(self):
+        # Leading coefficient [[0, -1], [1, 0]]: eigenvalues +- i, not diagonal.
+        data = {-3: [[gauss(0), gauss(-1)], [gauss(1), gauss(0)]], 0: [[gauss(1), gauss(2)], [gauss(3), gauss(4)]]}
+        doc = json.dumps(germ_to_json(ConnectionGerm.from_order_dict(2, 2, 3, data)))
+        script = (
+            "import io, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from irrtypes import cli\n"
+            f"sys.stdin = io.StringIO({doc!r})\n"
+            "code = cli.run(['connection', 'diagonalize'])\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'sympy' and sys.modules[m] is not None]\n"
+            "print(loaded, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60
+        )
+        assert result.returncode == 0, result.stdout
+        assert set(json.loads(result.stdout)) == {"gauge", "germ"}
+        assert result.stderr.strip() == "[]"
 
 
 class TestConsoleScript:

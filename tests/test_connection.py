@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from irrtypes import (
+    G_ZERO,
     ConnectionGerm,
     GaugeElement,
     LeadingNotRegular,
@@ -15,6 +16,7 @@ from irrtypes import (
     OutOfRange,
     PrecisionExhausted,
     ShapeMismatch,
+    TooLarge,
     Twisted,
     extract_irregular_type,
     gauge_compose,
@@ -25,6 +27,9 @@ from irrtypes import (
     leading_regular_diagonalize,
     verify_framing_invariance,
 )
+from irrtypes import connections
+from irrtypes.linalg import mat_inverse, mat_mul
+from irrtypes.scalars import G_ONE
 
 
 def _diag_germ(k, precision, leading, middle=None):
@@ -171,6 +176,48 @@ class TestGaugeTransform:
         germ = _diag_germ(1, 2, (gauss(1), gauss(2)))
         with pytest.raises(ShapeMismatch):
             gauge_transform(germ, GaugeElement.identity(3))
+
+    def test_gauge_equation_holds_order_by_order(self):
+        """M' g = g M + dg at every known order, checked without the integer kernel."""
+        rng = random.Random(41)
+
+        def scalar():
+            return gauss(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+
+        for _ in range(12):
+            r, k, n, order = rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 4), rng.randint(1, 3)
+            data = {l: [[scalar() for _ in range(r)] for _ in range(r)] for l in range(-(k + 1), n)}
+            germ = ConnectionGerm.from_order_dict(r, k, n, data)
+            while True:
+                try:
+                    g = GaugeElement(r, [[[scalar() for _ in range(order)] for _ in range(r)] for _ in range(r)])
+                    break
+                except NotAUnit:
+                    continue
+            moved = gauge_transform(germ, g)
+
+            def g_at(l):
+                if not 0 <= l < order:
+                    return [[G_ZERO] * r for _ in range(r)]
+                return [[g.entries[i][j][l] for j in range(r)] for i in range(r)]
+
+            def add(x, y):
+                return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
+
+            for l in range(-(k + 1), n):
+                lhs = [[G_ZERO] * r for _ in range(r)]
+                rhs = [[c * (l + 1) for c in row] for row in g_at(l + 1)]
+                for a in range(order):
+                    lhs = add(lhs, mat_mul(moved.coefficient_matrix(l - a), g_at(a)))
+                    rhs = add(rhs, mat_mul(g_at(a), germ.coefficient_matrix(l - a)))
+                assert lhs == rhs, (r, k, n, order, l)
+
+    def test_work_budget_refuses_before_the_products(self, monkeypatch):
+        germ = _diag_germ(2, 3, (gauss(1), gauss(2)))
+        g = GaugeElement.from_constant([[gauss(1), gauss(1)], [gauss(0), gauss(1)]])
+        monkeypatch.setattr(connections, "GERM_WORK_BUDGET", 10)
+        with pytest.raises(TooLarge):
+            gauge_transform(germ, g)
 
 
 class TestFramingInvariance:
@@ -337,3 +384,100 @@ class TestDiagonalize:
             )
             assert cols0 == cols1
             done += 1
+
+
+def _conjugated(rng, block):
+    """P block P^{-1} for a random invertible P with small Gaussian entries."""
+    r = len(block)
+    while True:
+        p = [[gauss(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(r)] for _ in range(r)]
+        try:
+            return mat_mul(mat_mul(p, block), mat_inverse(p, G_ONE, G_ZERO))
+        except NotAUnit:
+            continue
+
+
+def _sympy_spectrum(matrix):
+    """Sorted Q(i) eigenvalues, or the error name, from sympy's factorization over QQ_I."""
+    sympy = pytest.importorskip("sympy")
+
+    def sym(x):
+        return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+            x.im.numerator, x.im.denominator
+        )
+
+    lam = sympy.Symbol("lam")
+    charpoly = sympy.Matrix([[sym(x) for x in row] for row in matrix]).charpoly(lam).as_expr()
+    _, factors = sympy.Poly(charpoly, lam, domain="QQ_I").factor_list()
+    if any(e > 1 for _, e in factors):
+        return "LeadingNotRegular"
+    if any(f.degree() > 1 for f, _ in factors):
+        return "NotSplitOverField"
+    roots = []
+    for f, _ in factors:
+        a, b = f.all_coeffs()
+        re, im = sympy.expand(-b / a).as_real_imag()
+        roots.append(gauss(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))))
+    return sorted(roots, key=lambda v: (v.re, v.im))
+
+
+def _spectrum(matrix):
+    try:
+        return connections._qi_eigenvalues(matrix, connections._Work())
+    except (LeadingNotRegular, NotSplitOverField) as err:
+        return type(err).__name__
+
+
+class TestQiEigenvalues:
+    def test_matches_sympy_factorization(self):
+        """Planted split, repeated and non-split spectra, some with 300-digit entries."""
+        rng = random.Random(7)
+        kinds = ["split", "repeated", "nonsplit", "random"]
+        for trial in range(32):
+            r = rng.randint(2, 4)
+            kind = kinds[trial % 4]
+            digits = 300 if trial % 8 < 3 else 2
+            if kind == "random":
+                matrix = [[gauss(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(r)] for _ in range(r)]
+            else:
+                big = 10**digits
+                spectrum = [
+                    gauss(Fraction(rng.randint(-big, big), rng.randint(1, 4)), rng.randint(-big, big))
+                    for _ in range(r)
+                ]
+                block = [[spectrum[i] if i == j else G_ZERO for j in range(r)] for i in range(r)]
+                if kind == "repeated":
+                    block[1][1] = block[0][0]
+                if kind == "nonsplit":
+                    # [[0, -2], [1, 0]] has eigenvalues +- i sqrt(2)
+                    block[0][0], block[0][1], block[1][0], block[1][1] = G_ZERO, gauss(-2), gauss(1), G_ZERO
+                matrix = _conjugated(rng, block)
+            assert _spectrum(matrix) == _sympy_spectrum(matrix), (trial, kind)
+
+    @pytest.mark.parametrize(
+        "diagonal, companions",
+        [
+            ([1, 1], [2]),  # (x - 1)^2 (x^2 + 2)
+            ([], [2, 3, 3]),  # (x^2 + 2) (x^2 + 3)^2: sympy lists x^2 + 2 first
+        ],
+    )
+    def test_repeated_eigenvalue_wins_over_non_split_factor(self, diagonal, companions):
+        n = len(diagonal) + 2 * len(companions)
+        block = [[G_ZERO] * n for _ in range(n)]
+        for i, value in enumerate(diagonal):
+            block[i][i] = gauss(value)
+        for t, a in enumerate(companions):
+            i = len(diagonal) + 2 * t
+            block[i][i + 1], block[i + 1][i] = gauss(-a), gauss(1)  # x^2 + a
+        matrix = _conjugated(random.Random(3), block)
+        with pytest.raises(LeadingNotRegular):
+            connections._qi_eigenvalues(matrix, connections._Work())
+
+    def test_hensel_bounds(self, monkeypatch):
+        split = _conjugated(random.Random(5), [[gauss(1), G_ZERO], [G_ZERO, gauss(0, 2)]])
+        huge = [[gauss(2**40000), G_ZERO], [gauss(1), gauss(3)]]
+        with pytest.raises(TooLarge):
+            connections._qi_eigenvalues(huge, connections._Work())
+        monkeypatch.setattr(connections, "HENSEL_PRIME_BUDGET", 0)
+        with pytest.raises(TooLarge):
+            connections._qi_eigenvalues(split, connections._Work())
