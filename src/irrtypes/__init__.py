@@ -10,6 +10,8 @@ with their stabilizers.  Every answer is exact; floating point appears
 nowhere.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadModulus,
     EXIT_CODES,
@@ -53,6 +55,7 @@ from .rootsystems import (
 from .irregular import (
     FamilyIrregularType,
     IrregularType,
+    IrregularTypeAtInfinity,
     RootOrderVector,
     evaluate_root,
     family_root_order,
@@ -88,7 +91,6 @@ from .symmetry import (
     IDENTITY_G1,
     INFINITE,
     InfiniteOrder,
-    IrregularTypeAtInfinity,
     SL2ZElement,
     TorusG2,
     UpperHalfPoint,
@@ -111,4 +113,11 @@ from .symmetry import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public names only: the submodules bound by the imports above stay out,
+# so ``from irrtypes import *`` cannot shadow a caller's ``errors`` or
+# ``series``.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -7,6 +7,11 @@ gives a principal part whose pole order is the root order d_alpha; the
 vector of all root orders and the associated nested chain of vanishing
 sets are the combinatorial shadow used by the stratification.
 
+Moving the pole to infinity changes the coordinate, not the data: a
+type at infinity lists the coefficients of z^1 .. z^p and has the same
+root orders and filtration.  Its class, ``IrregularTypeAtInfinity``, is
+the convention; every function here takes either class.
+
 Families carry polynomial coefficients over a declared affine base and
 support the admissibility check: every root order must stay constant
 across the base.
@@ -56,9 +61,9 @@ class IrregularType:
         self.p = p
         self.coefficients = coeffs
 
-    @staticmethod
-    def zero(rootsystem: RootSystem, p: int) -> "IrregularType":
-        return IrregularType(rootsystem, p, [[0] * rootsystem.rank] * p)
+    @classmethod
+    def zero(cls, rootsystem: RootSystem, p: int) -> "IrregularType":
+        return cls(rootsystem, p, [[0] * rootsystem.rank] * p)
 
     def coefficient(self, j: int) -> CoefficientVector:
         """A_j for 1 <= j <= p."""
@@ -66,9 +71,14 @@ class IrregularType:
             raise MalformedInput(f"no coefficient of index {j}")
         return self.coefficients[j - 1]
 
+    def support(self) -> List[int]:
+        """Degrees j with a nonzero coefficient vector."""
+        return [j for j in range(1, self.p + 1) if any(self.coefficient(j))]
+
     def __eq__(self, other: object) -> bool:
+        # the two pole conventions never compare equal on the same data
         return (
-            isinstance(other, IrregularType)
+            type(other) is type(self)
             and self.rootsystem == other.rootsystem
             and self.p == other.p
             and self.coefficients == other.coefficients
@@ -78,7 +88,18 @@ class IrregularType:
         return hash((self.rootsystem, self.p, self.coefficients))
 
     def __repr__(self) -> str:
-        return f"IrregularType(p={self.p}, rank={self.rootsystem.rank})"
+        return f"{type(self).__name__}(p={self.p}, rank={self.rootsystem.rank})"
+
+
+class IrregularTypeAtInfinity(IrregularType):
+    """Coefficients A_1 .. A_p of z^1 .. z^p (pole at infinity).
+
+    The same data as :class:`IrregularType` in the other coordinate, so
+    root orders, filtrations and codecs are shared; the class records
+    only the convention.
+    """
+
+    __slots__ = ()
 
 
 class RootOrderVector:
@@ -214,6 +235,17 @@ def _family_pairing(fam: FamilyIrregularType, root, j: int) -> MultiPoly:
     return acc
 
 
+def _leading_pairing(fam: FamilyIrregularType, root_index: int) -> Tuple[int, MultiPoly]:
+    """Largest j whose pairing with A_j is not identically zero, and that
+    pairing; ``(0, zero polynomial)`` when every pairing vanishes."""
+    root = fam.rootsystem.roots[root_index]
+    for j in range(fam.p, 0, -1):
+        poly = _family_pairing(fam, root, j)
+        if not poly.is_zero:
+            return j, poly
+    return 0, MultiPoly.zero(fam.variables)
+
+
 def family_root_order(fam: FamilyIrregularType, root_index: int) -> Tuple[int, bool]:
     """Generic root order and whether it is constant across the base.
 
@@ -222,12 +254,8 @@ def family_root_order(fam: FamilyIrregularType, root_index: int) -> Tuple[int, b
     ``constant`` says whether the leading pairing is a nonzero constant
     polynomial, i.e. whether the order is the same at every base point.
     """
-    root = fam.rootsystem.roots[root_index]
-    for j in range(fam.p, 0, -1):
-        poly = _family_pairing(fam, root, j)
-        if not poly.is_zero:
-            return j, poly.is_constant
-    return 0, True
+    d, poly = _leading_pairing(fam, root_index)
+    return d, poly.is_constant
 
 
 def is_admissible(fam: FamilyIrregularType) -> Tuple[bool, Tuple[Tuple[int, MultiPoly], ...]]:
@@ -239,11 +267,7 @@ def is_admissible(fam: FamilyIrregularType) -> Tuple[bool, Tuple[Tuple[int, Mult
     """
     failures = []
     for i in range(len(fam.rootsystem)):
-        root = fam.rootsystem.roots[i]
-        for j in range(fam.p, 0, -1):
-            poly = _family_pairing(fam, root, j)
-            if not poly.is_zero:
-                if not poly.is_constant:
-                    failures.append((i, poly))
-                break
+        _, poly = _leading_pairing(fam, i)
+        if not poly.is_constant:
+            failures.append((i, poly))
     return (not failures, tuple(failures))

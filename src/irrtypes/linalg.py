@@ -3,16 +3,17 @@
 Everything is plain Gaussian elimination on lists of lists.  Entries
 must support +, -, *, / and be falsy exactly when zero; both stdlib
 ``Fraction`` and :class:`~irrtypes.scalars.GaussianRational` qualify.
-Matrices here are small (ambient ranks and connection sizes), so no
-attempt at pivoting strategies or sparsity.
+The callers are the root-system layer, whose matrices are the size of
+the ambient rank, so no attempt at pivoting strategies or sparsity.
+Connection germs use the Gaussian-integer kernel in
+:mod:`irrtypes.connections` instead; of this module they take only
+``mat_identity``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Sequence, TypeVar
-
-from .errors import NotAUnit
 
 F = TypeVar("F")
 Matrix = List[List[F]]
@@ -77,73 +78,8 @@ def kernel_basis(rows: Sequence[Sequence[F]], ncols: int, one: F, zero: F) -> Ma
     return basis
 
 
-def mat_mul(a: Sequence[Sequence[F]], b: Sequence[Sequence[F]]) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(mid):
-                prod = a[i][t] * b[t][j]
-                acc = prod if acc is None else acc + prod
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def sum_(items) -> F:
-    acc = None
-    for x in items:
-        acc = x if acc is None else acc + x
-    return acc
-
-
-def mat_vec(a: Sequence[Sequence[F]], v: Sequence[F]) -> List[F]:
-    return [sum_(a[i][t] * v[t] for t in range(len(v))) for i in range(len(a))]
-
-
 def mat_identity(n: int, one: F, zero: F) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(rows: Sequence[Sequence[F]], one: F, zero: F) -> Matrix:
-    """Inverse via Gauss-Jordan; raises ``NotAUnit`` when singular."""
-    n = len(rows)
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, n) if aug[i][col]), None)
-        if pivot is None:
-            raise NotAUnit("matrix is singular")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    return [r[n:] for r in aug]
-
-
-def char_poly(matrix: Sequence[Sequence[F]], one: F, zero: F) -> List[F]:
-    """Characteristic polynomial coefficients [1, c1, .., cn] via Faddeev-LeVerrier.
-
-    P(t) = t^n + c1 t^{n-1} + .. + cn, computed with exact divisions by
-    integers (valid in characteristic zero).
-    """
-    n = len(matrix)
-    coeffs = [one]
-    m = mat_identity(n, one, zero)
-    for k in range(1, n + 1):
-        m = mat_mul(matrix, m)
-        trace = sum_(m[i][i] for i in range(n))
-        ck = trace / Fraction(-k)
-        coeffs.append(ck)
-        for i in range(n):
-            m[i][i] = m[i][i] + ck
-    return coeffs
 
 
 def clear_denominators(vector: Sequence[Fraction]) -> List[Fraction]:

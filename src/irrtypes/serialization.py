@@ -15,19 +15,18 @@ from typing import Dict, List, Sequence, Tuple
 
 from .connections import ConnectionGerm, GaugeElement
 from .errors import MalformedInput
-from .irregular import FamilyIrregularType, IrregularType, RootOrderVector
+from .irregular import (
+    FamilyIrregularType,
+    IrregularType,
+    IrregularTypeAtInfinity,
+    RootOrderVector,
+)
 from .polynomials import MultiPoly
 from .rootsystems import LeviFiltration, LeviSubsystem, RootSystem
 from .scalars import GaussianRational, rat_from_str, rat_to_str
 from .series import LaurentTail, TruncatedSeries
 from .strata import StratumDescriptor
-from .symmetry import (
-    AffineG1,
-    IrregularTypeAtInfinity,
-    SL2ZElement,
-    TorusG2,
-    UpperHalfPoint,
-)
+from .symmetry import AffineG1, SL2ZElement, TorusG2, UpperHalfPoint
 
 SCHEMA_VERSION = 1
 
@@ -119,30 +118,26 @@ def irregular_type_to_json(q: IrregularType) -> dict:
     }
 
 
-def irregular_type_from_json(data: object) -> IrregularType:
+def _irregular_type_from_json(data: object, cls: type) -> IrregularType:
+    """Decode either pole convention; ``cls`` names the convention."""
     obj = _as_object(data, ("rootsystem", "p", "coefficients"), "irregular type")
-    return IrregularType(
+    return cls(
         root_system_from_json(obj["rootsystem"]),
         _as_int(obj["p"], "pole bound"),
         _coefficient_block_from_json(obj["coefficients"]),
     )
 
 
-def atinf_to_json(q: IrregularTypeAtInfinity) -> dict:
-    return {
-        "rootsystem": root_system_to_json(q.rootsystem),
-        "p": q.p,
-        "coefficients": _coefficient_block_to_json(q.coefficients),
-    }
+def irregular_type_from_json(data: object) -> IrregularType:
+    return _irregular_type_from_json(data, IrregularType)
+
+
+# Both conventions share one document shape.
+atinf_to_json = irregular_type_to_json
 
 
 def atinf_from_json(data: object) -> IrregularTypeAtInfinity:
-    obj = _as_object(data, ("rootsystem", "p", "coefficients"), "irregular type")
-    return IrregularTypeAtInfinity(
-        root_system_from_json(obj["rootsystem"]),
-        _as_int(obj["p"], "pole bound"),
-        _coefficient_block_from_json(obj["coefficients"]),
-    )
+    return _irregular_type_from_json(data, IrregularTypeAtInfinity)
 
 
 def poly_to_json(poly: MultiPoly) -> dict:

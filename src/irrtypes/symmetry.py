@@ -12,12 +12,15 @@ for coarse moduli round out the toolkit.
 Stabilizer and orbit decisions never construct actual roots of unity:
 everything reduces to integer gcds and scalar compatibility inside the
 Gaussian rationals.
+
+This module defines no irregular type of its own: the pole-at-infinity
+convention is :class:`~irrtypes.irregular.IrregularTypeAtInfinity`, and
+its root orders come from :func:`~irrtypes.irregular.root_order`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -31,49 +34,16 @@ from .errors import (
     TooLarge,
     ZeroPair,
 )
-from .irregular import IrregularType, RootOrderVector, root_pairing
-from .rootsystems import RootSystem
+from .irregular import (
+    IrregularType,
+    IrregularTypeAtInfinity,
+    RootOrderVector,
+    root_order,
+    root_order_vector,
+    root_pairing,
+)
 from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike
 from .strata import is_relevant
-
-
-class IrregularTypeAtInfinity:
-    """Coefficients A_1 .. A_p of z^1 .. z^p (pole at infinity)."""
-
-    __slots__ = ("rootsystem", "p", "coefficients")
-
-    def __init__(self, rootsystem: RootSystem, p: int, coefficients: Sequence[Sequence[ScalarLike]]):
-        inner = IrregularType(rootsystem, p, coefficients)
-        self.rootsystem = rootsystem
-        self.p = p
-        self.coefficients = inner.coefficients
-
-    @staticmethod
-    def zero(rootsystem: RootSystem, p: int) -> "IrregularTypeAtInfinity":
-        return IrregularTypeAtInfinity(rootsystem, p, [[0] * rootsystem.rank] * p)
-
-    def coefficient(self, j: int) -> Tuple[GaussianRational, ...]:
-        if not 1 <= j <= self.p:
-            raise MalformedInput(f"no coefficient of index {j}")
-        return self.coefficients[j - 1]
-
-    def support(self) -> List[int]:
-        """Degrees j with a nonzero coefficient vector."""
-        return [j for j in range(1, self.p + 1) if any(self.coefficient(j))]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IrregularTypeAtInfinity)
-            and self.rootsystem == other.rootsystem
-            and self.p == other.p
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rootsystem, self.p, self.coefficients))
-
-    def __repr__(self) -> str:
-        return f"IrregularTypeAtInfinity(p={self.p}, rank={self.rootsystem.rank})"
 
 
 def convention_swap(
@@ -84,24 +54,16 @@ def convention_swap(
     Index-preserving involution: the coefficient of z^{-j} becomes the
     coefficient of z^{j} and back.
     """
-    if isinstance(q, IrregularType):
-        return IrregularTypeAtInfinity(q.rootsystem, q.p, q.coefficients)
     if isinstance(q, IrregularTypeAtInfinity):
         return IrregularType(q.rootsystem, q.p, q.coefficients)
+    if isinstance(q, IrregularType):
+        return IrregularTypeAtInfinity(q.rootsystem, q.p, q.coefficients)
     raise MalformedInput("expected an irregular type in either convention")
 
 
-def atinf_root_order(q: IrregularTypeAtInfinity, root_index: int) -> int:
-    root = q.rootsystem.roots[root_index]
-    for j in range(q.p, 0, -1):
-        if root_pairing(root, q.coefficient(j)):
-            return j
-    return 0
-
-
-def atinf_root_order_vector(q: IrregularTypeAtInfinity) -> RootOrderVector:
-    orders = [atinf_root_order(q, i) for i in range(len(q.rootsystem))]
-    return RootOrderVector(q.rootsystem, q.p, orders)
+# Root orders do not depend on the pole convention.
+atinf_root_order = root_order
+atinf_root_order_vector = root_order_vector
 
 
 @dataclass(frozen=True)
@@ -165,7 +127,7 @@ def g1_slice(
     vanish; the result is returned with the translation used.  Applying
     the slice twice is the identity on the second pass (s = 0).
     """
-    d = atinf_root_order(q, root_index)
+    d = root_order(q, root_index)
     if d < 2:
         raise OrderTooLow(f"root order {d} < 2 admits no slice normalization")
     root = q.rootsystem.roots[root_index]
@@ -204,7 +166,7 @@ def g1_stabilizer_order(q: IrregularTypeAtInfinity) -> Union[int, InfiniteOrder]
     stabilizer sits inside the torus acting with weight j on A_j, so
     its order is the gcd of the support.
     """
-    orders = atinf_root_order_vector(q).orders
+    orders = root_order_vector(q).orders
     if not orders or max(orders) <= 1:
         return INFINITE
     root_index = next(i for i, d in enumerate(orders) if d >= 2)
@@ -245,9 +207,7 @@ def g2_act(
 def g2_stabilizer_order(pair: Tuple[IrregularType, IrregularTypeAtInfinity]) -> int:
     """gcd of the union of the two supports; rejects the zero pair."""
     at0, atinf = pair
-    support0 = [j for j in range(1, at0.p + 1) if any(at0.coefficient(j))]
-    supportinf = atinf.support()
-    combined = sorted(set(support0) | set(supportinf))
+    combined = sorted(set(at0.support()) | set(atinf.support()))
     if not combined:
         raise ZeroPair("both members of the pair vanish")
     return gcd(*combined) if len(combined) > 1 else combined[0]

@@ -28,8 +28,8 @@ from irrtypes import (
     verify_framing_invariance,
 )
 from irrtypes import connections
-from irrtypes.linalg import mat_inverse, mat_mul
 from irrtypes.scalars import G_ONE
+from linalg_oracles import mat_inverse, mat_mul
 
 
 def _diag_germ(k, precision, leading, middle=None):

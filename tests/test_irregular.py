@@ -1,5 +1,6 @@
 """Irregular types, root orders, induced filtrations, and families."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from irrtypes import (
 
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
 A2 = build_root_system("A", 2)
+B2 = build_root_system("B", 2)
 
 
 class TestConstruction:
@@ -141,3 +143,63 @@ class TestFamilies:
         assert family_root_order(fam, 0) == (0, True)
         ok, failures = is_admissible(fam)
         assert ok and failures == ()
+
+
+def _random_entry(rng, variables, kind):
+    """A polynomial of the given kind: zero, constant or linear."""
+    if kind == "zero":
+        return MultiPoly.zero(variables)
+    poly = MultiPoly.constant(variables, rng.randint(-3, 3))
+    if kind == "linear":
+        for name in variables:
+            poly = poly + MultiPoly.variable(variables, name).scale(rng.choice([-2, -1, 1, 2]))
+    return poly
+
+
+def _random_vector(rng, system, variables):
+    """One coefficient vector; the "ray" kind is f times an integer vector,
+    so every root orthogonal to that vector pairs to zero with it."""
+    kind = rng.choice(["zero", "constant", "linear", "ray", "ray"])
+    if kind != "ray":
+        return [_random_entry(rng, variables, rng.choice([kind, kind, "zero"])) for _ in range(system.rank)]
+    f = _random_entry(rng, variables, rng.choice(["constant", "linear"]))
+    direction = rng.choice([[1] * system.rank, [rng.randint(-1, 1) for _ in range(system.rank)]])
+    return [f.scale(c) for c in direction]
+
+
+def _pairing(root, vector, variables):
+    total = MultiPoly.zero(variables)
+    for a, entry in zip(root, vector):
+        total = total + entry.scale(a)
+    return total
+
+
+def test_admissibility_scan_matches_family_root_order():
+    rng = random.Random(20240611)
+    seen = {"constant": 0, "linear": 0, "vanishing": 0}
+    for _ in range(300):
+        system = rng.choice([A1, A2, B2])
+        p = rng.randint(1, 3)
+        variables = ("t",) if rng.random() < 0.5 else ("s", "t")
+        coeffs = [_random_vector(rng, system, variables) for _ in range(p)]
+        fam = FamilyIrregularType(system, p, variables, coeffs)
+        ok, failures = is_admissible(fam)
+        orders = [family_root_order(fam, i) for i in range(len(system))]
+        assert {i for i, _ in failures} == {i for i, (_, constant) in enumerate(orders) if not constant}
+        assert ok == (not failures)
+        assert [i for i, _ in failures] == sorted(i for i, _ in failures)
+        for i, witness in failures:
+            d = orders[i][0]
+            assert d >= 1
+            assert witness == _pairing(system.roots[i], fam.coefficient(d), variables)
+        for i, root in enumerate(system.roots):
+            d = orders[i][0]
+            top = [_pairing(root, fam.coefficient(j), variables) for j in range(p, 0, -1)]
+            seen["vanishing"] += top[0].is_zero
+            if d:
+                lead = top[p - d]
+                assert not lead.is_zero and all(poly.is_zero for poly in top[: p - d])
+                seen["constant" if lead.is_constant else "linear"] += 1
+            else:
+                assert all(poly.is_zero for poly in top)
+    assert min(seen.values()) >= 50, seen

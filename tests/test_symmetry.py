@@ -47,6 +47,12 @@ from irrtypes import (
     sl2z_act,
     weighted_orbit_equivalent,
 )
+from irrtypes.serialization import (
+    atinf_from_json,
+    atinf_to_json,
+    irregular_type_from_json,
+    irregular_type_to_json,
+)
 from irrtypes.symmetry import atinf_root_order, atinf_root_order_vector
 
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
@@ -109,6 +115,63 @@ class TestConventionSwap:
         assert isinstance(swapped, IrregularTypeAtInfinity)
         assert swapped.coefficients == q.coefficients
         assert convention_swap(swapped) == q
+
+
+class TestConventionsStayApart:
+    """One class per pole convention: equal data, unequal types."""
+
+    CASES = [
+        (A1, 2, [[1], [3]]),
+        (A2, 3, [[1, 0, 2], [0, 0, 0], [4, 1, 0]]),
+        (A1, 2, [[0], [0]]),
+        (A2, 1, [[0, 0, 0]]),
+    ]
+
+    def _pairs(self):
+        for system, p, coeffs in self.CASES:
+            yield IrregularType(system, p, coeffs), IrregularTypeAtInfinity(system, p, coeffs)
+
+    def test_unequal_in_both_directions(self):
+        for at0, atinf in self._pairs():
+            assert at0.coefficients == atinf.coefficients
+            assert at0 != atinf and atinf != at0
+            assert not at0 == atinf and not atinf == at0
+
+    def test_zero_types_unequal(self):
+        assert IrregularType.zero(A2, 2) != IrregularTypeAtInfinity.zero(A2, 2)
+        assert IrregularTypeAtInfinity.zero(A2, 2) != IrregularType.zero(A2, 2)
+
+    def test_distinct_in_a_set(self):
+        for at0, atinf in self._pairs():
+            same0 = IrregularType(at0.rootsystem, at0.p, at0.coefficients)
+            assert len({at0, atinf, same0}) == 2
+            assert atinf in {atinf} and atinf not in {at0}
+
+    def test_zero_returns_own_class(self):
+        assert type(IrregularTypeAtInfinity.zero(A1, 2)) is IrregularTypeAtInfinity
+        assert type(IrregularType.zero(A1, 2)) is IrregularType
+
+    def test_swap_returns_other_class(self):
+        for at0, atinf in self._pairs():
+            assert type(convention_swap(at0)) is IrregularTypeAtInfinity
+            assert type(convention_swap(atinf)) is IrregularType
+            assert convention_swap(at0) == atinf
+            assert convention_swap(atinf) == at0
+
+    def test_decoders_return_their_own_class(self):
+        for at0, atinf in self._pairs():
+            doc = irregular_type_to_json(at0)
+            assert doc == atinf_to_json(atinf)
+            decoded_inf = atinf_from_json(doc)
+            decoded0 = irregular_type_from_json(doc)
+            assert type(decoded_inf) is IrregularTypeAtInfinity
+            assert type(decoded0) is IrregularType
+            assert decoded_inf == atinf and decoded0 == at0
+            assert decoded_inf != decoded0
+
+    def test_repr_names_the_convention(self):
+        assert repr(IrregularType.zero(A1, 2)) == "IrregularType(p=2, rank=1)"
+        assert repr(IrregularTypeAtInfinity.zero(A1, 2)) == "IrregularTypeAtInfinity(p=2, rank=1)"
 
 
 class TestAffineAction:
