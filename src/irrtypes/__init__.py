@@ -63,6 +63,7 @@ from .irregular import (
     levi_filtration_of,
     root_order,
     root_order_vector,
+    sublevel_sets,
 )
 from .strata import (
     StratumDescriptor,
@@ -73,7 +74,6 @@ from .strata import (
     is_relevant,
     stratum_dimension,
     stratum_witness,
-    sublevel_sets,
 )
 from .connections import (
     ConnectionGerm,

@@ -74,7 +74,7 @@ def _read_document(ns: argparse.Namespace) -> object:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise MalformedInput(f"cannot read input: {err}") from err
     try:
         return json.loads(text)
@@ -128,7 +128,7 @@ def _cmd_strata_witness(ns: argparse.Namespace) -> object:
 def _cmd_classify(ns: argparse.Namespace) -> object:
     q = irregular_type_from_json(_read_document(ns))
     vec = root_order_vector(q)
-    filt = levi_filtration_of(q)
+    filt = levi_filtration_of(vec)
     return {
         "d": list(vec.orders),
         "levels": [sorted(level) for level in filt.levels],

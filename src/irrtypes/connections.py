@@ -13,15 +13,17 @@ the isomorphism sending z^{-l} to -l z^{-(l+1)} dz and discards the
 residue.  The diagonalization routine brings a leading-regular germ with
 Gaussian-rational spectrum to untwisted shape one pole order at a time.
 
-Products run on Python ints: a Laurent matrix (``_Lau``) holds
-Gaussian-integer coefficient matrices, as ``(re, im)`` pairs, over one
-positive integer denominator.  Germs and gauges convert to that form on
-the way in (``to_lau``) and are reduced back to Gaussian rationals once on
-the way out (``from_lau``).  Eigenvalues of the leading coefficient are
-found without factoring: Hensel lifting of the roots of its
-characteristic polynomial, scaled to be monic over Z[i], at a prime
-p = 1 (mod 4), then an exact check of each root (``_qi_eigenvalues``
-documents the method and its error order).
+Germs and gauges store one reduced Gaussian-rational matrix per order of
+their window (-(k+1) .. N-1, or 0 .. order-1).  Products run on Python
+ints: a Laurent matrix (``_Lau``) holds Gaussian-integer coefficient
+matrices, as ``(re, im)`` pairs, over one positive integer denominator.
+``_Lau.of`` converts a window on the way in (``to_lau``) and
+``_Lau.matrix`` reduces each order once on the way out (``from_lau``),
+which wraps the result without re-running the constructor's checks.
+Eigenvalues of the leading coefficient are found without factoring:
+Hensel lifting of the roots of its characteristic polynomial, scaled to
+be monic over Z[i], at a prime p = 1 (mod 4), then an exact check of
+each root (``_qi_eigenvalues`` documents the method and its error order).
 
 Every gauge transform, diagonalization and gauge composition may spend
 at most ``GERM_WORK_BUDGET`` word operations; each product is charged
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     LeadingNotRegular,
@@ -49,12 +51,13 @@ from .errors import (
     Twisted,
 )
 from .irregular import IrregularType
-from .linalg import mat_identity
 from .rootsystems import RootSystem, build_root_system
 from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, gauss
 from .series import LaurentTail, TruncatedSeries
 
 GMatrix = List[List[GaussianRational]]
+# One stored coefficient matrix of a germ or gauge window.
+Matrix = Tuple[Tuple[GaussianRational, ...], ...]
 
 
 def gl_cartan_system(r: int) -> RootSystem:
@@ -66,8 +69,29 @@ def gl_cartan_system(r: int) -> RootSystem:
     return build_root_system("A", r - 1)
 
 
-def _zero_matrix(r: int) -> GMatrix:
-    return [[G_ZERO for _ in range(r)] for _ in range(r)]
+def _zero_matrix(r: int) -> Matrix:
+    return ((G_ZERO,) * r,) * r
+
+
+def _identity_matrix(r: int) -> Matrix:
+    return tuple(tuple(G_ONE if i == j else G_ZERO for j in range(r)) for i in range(r))
+
+
+def _coerce_matrix(matrix: Sequence[Sequence[ScalarLike]]) -> Matrix:
+    return tuple(tuple(GaussianRational.of(x) for x in row) for row in matrix)
+
+
+def _by_order(cells: Sequence[Sequence[Sequence]]) -> Iterator[Matrix]:
+    """Regroup a matrix of per-entry coefficient lists into one matrix per order."""
+    return zip(*(zip(*row) for row in cells))
+
+
+def _bare(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, without its constructor's checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
 
 
 GInt = Tuple[int, int]
@@ -287,12 +311,12 @@ class _Lau:
         coeffs = {l: [[_to_gi(x, den) for x in row] for row in m] for l, m in matrices.items()}
         return _Lau(r, coeffs, den, hi, floor)
 
-    def matrix(self, order: int) -> GMatrix:
+    def matrix(self, order: int) -> Matrix:
         """The coefficient at ``order`` as a reduced Gaussian-rational matrix."""
         m = self.coeffs.get(order)
         if m is None:
             return _zero_matrix(self.r)
-        return [[_from_gi(x, self.den) for x in row] for row in m]
+        return tuple(tuple(_from_gi(x, self.den) for x in row) for row in m)
 
     def add(self, other: "_Lau") -> "_Lau":
         hi = _min_hi(self.hi, other.hi)
@@ -370,15 +394,20 @@ def _series_matrix_inverse(poly: "_Lau", order: int, work: _Work) -> "_Lau":
     return _Lau(r, out, d**order, order, 0)
 
 
+def _window_lau(r: int, window: Sequence[Matrix], lo: int, hi: Optional[int], work: _Work) -> _Lau:
+    """Integer form of a window whose first matrix sits at order ``lo``."""
+    return _Lau.of(r, dict(enumerate(window, lo)), hi, lo, work)
+
+
 class GaugeElement:
     """Polynomial matrix gauge with invertible constant term.
 
-    Entries are coefficient tuples of one common length (the order);
-    coefficients beyond the stored degree are exactly zero, so a gauge
-    element carries full information about itself.
+    Stores one coefficient matrix per order 0 .. order-1; coefficients
+    beyond the stored degree are exactly zero, so a gauge element
+    carries full information about itself.
     """
 
-    __slots__ = ("r", "order", "entries")
+    __slots__ = ("r", "order", "_window")
 
     def __init__(self, r: int, entries: Sequence[Sequence[Sequence[ScalarLike]]]):
         if r < 1:
@@ -388,19 +417,12 @@ class GaugeElement:
         lengths = {len(cell) for row in entries for cell in row}
         if len(lengths) != 1 or min(lengths) < 1:
             raise MalformedInput("gauge entries must share one positive order")
-        order = lengths.pop()
-        coerced = tuple(
-            tuple(tuple(GaussianRational.of(c) for c in cell) for cell in row)
-            for row in entries
-        )
-        const = [[coerced[i][j][0] for j in range(r)] for i in range(r)]
+        window = tuple(_coerce_matrix(m) for m in _by_order(entries))
         work = _Work()
-        den = _common_denominator((x for row in const for x in row), work.max_bits(r))
+        den = _common_denominator((x for row in window[0] for x in row), work.max_bits(r))
         # raises NotAUnit when singular
-        _gi_mat_inverse([[_to_gi(x, den) for x in row] for row in const], work)
-        self.r = r
-        self.order = order
-        self.entries = coerced
+        _gi_mat_inverse([[_to_gi(x, den) for x in row] for row in window[0]], work)
+        self.r, self.order, self._window = r, len(window), window
 
     @staticmethod
     def identity(r: int, order: int = 1) -> "GaugeElement":
@@ -414,35 +436,28 @@ class GaugeElement:
     def from_constant(matrix: Sequence[Sequence[ScalarLike]]) -> "GaugeElement":
         return GaugeElement(len(matrix), [[[c] for c in row] for row in matrix])
 
+    @property
+    def entries(self) -> Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]:
+        """Read-only view: ``entries[i][j][l]`` is the z^l coefficient of entry (i, j)."""
+        return tuple(tuple(zip(*rows)) for rows in zip(*self._window))
+
     def constant_term(self) -> GMatrix:
-        return [[self.entries[i][j][0] for j in range(self.r)] for i in range(self.r)]
+        return [list(row) for row in self._window[0]]
 
     def is_identity_mod_z(self) -> bool:
-        ident = mat_identity(self.r, G_ONE, G_ZERO)
-        return self.constant_term() == ident
+        return self._window[0] == _identity_matrix(self.r)
 
     def to_lau(self, work: _Work) -> _Lau:
-        matrices = {
-            l: [[self.entries[i][j][l] for j in range(self.r)] for i in range(self.r)]
-            for l in range(self.order)
-        }
-        return _Lau.of(self.r, matrices, None, 0, work)
+        return _window_lau(self.r, self._window, 0, None, work)
 
     @staticmethod
     def from_lau(lau: _Lau, order: int) -> "GaugeElement":
-        matrices = [lau.matrix(l) for l in range(order)]
-        return GaugeElement(
-            lau.r,
-            [[[m[i][j] for m in matrices] for j in range(lau.r)] for i in range(lau.r)],
-        )
+        """Wrap a product of gauges: its constant term is a product of units."""
+        window = tuple(lau.matrix(l) for l in range(order))
+        return _bare(GaugeElement, r=lau.r, order=order, _window=window)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GaugeElement)
-            and self.r == other.r
-            and self.order == other.order
-            and self.entries == other.entries
-        )
+        return isinstance(other, GaugeElement) and self.r == other.r and self._window == other._window
 
     def __repr__(self) -> str:
         return f"GaugeElement(r={self.r}, order={self.order})"
@@ -462,9 +477,12 @@ def _compose(second: GaugeElement, first: GaugeElement, work: _Work) -> GaugeEle
 
 
 class ConnectionGerm:
-    """Matrix of one-forms f_ij dz, exact from order -(k+1) to N-1."""
+    """Matrix of one-forms f_ij dz, exact from order -(k+1) to N-1.
 
-    __slots__ = ("r", "pole_bound", "precision", "entries")
+    Stores one coefficient matrix per order of that window.
+    """
+
+    __slots__ = ("r", "pole_bound", "precision", "_window")
 
     def __init__(
         self,
@@ -488,10 +506,9 @@ class ConnectionGerm:
                 precisions.add(regular.order)
         if len(precisions) != 1:
             raise MalformedInput("entries must share one regular precision")
-        self.r = r
-        self.pole_bound = pole_bound
-        self.precision = precisions.pop()
-        self.entries = tuple(tuple(row) for row in entries)
+        self.r, self.pole_bound, self.precision = r, pole_bound, precisions.pop()
+        cells = [[tail.coeffs + regular.coeffs for tail, regular in row] for row in entries]
+        self._window = tuple(_by_order(cells))
 
     @staticmethod
     def from_order_dict(
@@ -503,42 +520,32 @@ class ConnectionGerm:
                 raise MalformedInput(f"order {l} outside the germ window")
             if len(matrix) != r or any(len(row) != r for row in matrix):
                 raise MalformedInput(f"coefficient matrix at order {l} is not {r} x {r}")
+        if r < 1:
+            raise MalformedInput("matrix size must be positive")
+        if pole_bound < 0 or precision < 1:
+            raise MalformedInput("need pole_bound >= 0 and precision >= 1")
+        zero = _zero_matrix(r)
+        window = tuple(
+            _coerce_matrix(data[l]) if l in data else zero
+            for l in range(-(pole_bound + 1), precision)
+        )
+        return _bare(ConnectionGerm, r=r, pole_bound=pole_bound, precision=precision, _window=window)
 
-        def at(i: int, j: int, l: int) -> GaussianRational:
-            return GaussianRational.of(data[l][i][j]) if l in data else G_ZERO
-
-        entries = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                tail = tuple(at(i, j, l) for l in range(-(pole_bound + 1), 0))
-                reg = tuple(at(i, j, l) for l in range(precision))
-                row.append(
-                    (LaurentTail(pole_bound + 1, tail), TruncatedSeries(precision, reg))
-                )
-            entries.append(row)
-        return ConnectionGerm(r, pole_bound, entries)
-
-    def coefficient(self, i: int, j: int, order: int) -> GaussianRational:
-        tail, regular = self.entries[i][j]
+    def _matrix(self, order: int) -> Matrix:
         if order < -(self.pole_bound + 1):
-            return G_ZERO
-        if order < 0:
-            return tail.coefficient(order)
+            return _zero_matrix(self.r)
         if order < self.precision:
-            return regular.coeffs[order]
+            return self._window[order + self.pole_bound + 1]
         raise PrecisionExhausted(f"order {order} beyond the stored precision")
 
+    def coefficient(self, i: int, j: int, order: int) -> GaussianRational:
+        return self._matrix(order)[i][j]
+
     def coefficient_matrix(self, order: int) -> GMatrix:
-        return [
-            [self.coefficient(i, j, order) for j in range(self.r)] for i in range(self.r)
-        ]
+        return [list(row) for row in self._matrix(order)]
 
     def to_lau(self, work: _Work) -> _Lau:
-        matrices = {
-            l: self.coefficient_matrix(l) for l in range(-(self.pole_bound + 1), self.precision)
-        }
-        return _Lau.of(self.r, matrices, self.precision, -(self.pole_bound + 1), work)
+        return _window_lau(self.r, self._window, -(self.pole_bound + 1), self.precision, work)
 
     @staticmethod
     def from_lau(lau: _Lau, pole_bound: int) -> "ConnectionGerm":
@@ -549,15 +556,15 @@ class ConnectionGerm:
         for l in lau.coeffs:
             if l < -(pole_bound + 1):
                 raise MalformedInput("pole deeper than the declared bound")
-        data = {l: lau.matrix(l) for l in lau.coeffs}
-        return ConnectionGerm.from_order_dict(lau.r, pole_bound, lau.hi, data)
+        window = tuple(lau.matrix(l) for l in range(-(pole_bound + 1), lau.hi))
+        return _bare(ConnectionGerm, r=lau.r, pole_bound=pole_bound, precision=lau.hi, _window=window)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ConnectionGerm)
             and self.r == other.r
             and self.pole_bound == other.pole_bound
-            and self.entries == other.entries
+            and self._window == other._window
         )
 
     def __repr__(self) -> str:
@@ -591,15 +598,10 @@ def _transform(germ: ConnectionGerm, g: GaugeElement, work: _Work) -> Connection
 
 def is_untwisted_in_basis(germ: ConnectionGerm) -> bool:
     """Off-diagonal coefficients vanish at z^{-j} dz for every j >= 2."""
-    for i in range(germ.r):
-        for j in range(germ.r):
-            if i == j:
-                continue
-            tail, _ = germ.entries[i][j]
-            for order in range(-(germ.pole_bound + 1), -1):
-                if tail.coefficient(order):
-                    return False
-    return True
+    # orders -(k+1) .. -2 are the first k matrices of the window
+    return not any(
+        x for m in germ._window[: germ.pole_bound] for i, row in enumerate(m) for j, x in enumerate(row) if i != j
+    )
 
 
 def extract_irregular_type(germ: ConnectionGerm) -> IrregularType:
@@ -828,23 +830,18 @@ def leading_regular_diagonalize(
     for j in range(1, k):
         target = j - k - 1
         coeff = current.coefficient_matrix(target)
-        correction = _zero_matrix(r)
-        nontrivial = False
-        for a in range(r):
-            for b in range(r):
-                if a != b and coeff[a][b]:
-                    correction[a][b] = coeff[a][b] / (values[a] - values[b])
-                    nontrivial = True
-        if not nontrivial:
-            continue
-        entries = [
-            [
-                [G_ONE if (a == b and l == 0) else (correction[a][b] if l == j else G_ZERO) for l in range(j + 1)]
+        correction = tuple(
+            tuple(
+                coeff[a][b] / (values[a] - values[b]) if a != b and coeff[a][b] else G_ZERO
                 for b in range(r)
-            ]
+            )
             for a in range(r)
-        ]
-        step = GaugeElement(r, entries)
+        )
+        if not any(x for row in correction for x in row):
+            continue
+        # 1 + C z^j: its constant term is the identity
+        window = (_identity_matrix(r),) + (_zero_matrix(r),) * (j - 1) + (correction,)
+        step = _bare(GaugeElement, r=r, order=j + 1, _window=window)
         current = _transform(current, step, work)
         total = _compose(step, total, work)
     if not is_untwisted_in_basis(current):

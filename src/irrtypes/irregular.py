@@ -164,22 +164,21 @@ def root_order_vector(q: IrregularType) -> RootOrderVector:
     return RootOrderVector(q.rootsystem, q.p, orders)
 
 
-def levi_filtration_of(q: IrregularType) -> LeviFiltration:
-    """Levels: roots killing A_j for every j from the level index up."""
-    system = q.rootsystem
-    alive = frozenset(range(len(system)))
-    levels: List[frozenset] = []
-    # level i collects roots vanishing on A_i .. A_p; build from the top down
-    current = alive
-    tower = []
-    for j in range(q.p, 0, -1):
-        coeff = q.coefficient(j)
-        current = frozenset(
-            i for i in current if not root_pairing(system.roots[i], coeff)
-        )
-        tower.append(current)
-    tower.reverse()
-    return LeviFiltration(system, tower)
+def sublevel_sets(system: RootSystem, p: int, orders: Sequence[int]) -> List[frozenset]:
+    """The sets {alpha : d_alpha < i} for i = 1 .. p."""
+    return [
+        frozenset(a for a, d in enumerate(orders) if d < i) for i in range(1, p + 1)
+    ]
+
+
+def levi_filtration_of(q: IrregularType | RootOrderVector) -> LeviFiltration:
+    """Levels: for i = 1 .. p, the roots of order below i, which kill A_i .. A_p.
+
+    Takes a type or its root order vector; given the vector, no root is
+    paired again.
+    """
+    vec = q if isinstance(q, RootOrderVector) else root_order_vector(q)
+    return LeviFiltration(vec.rootsystem, sublevel_sets(vec.rootsystem, vec.p, vec.orders))
 
 
 class FamilyIrregularType:

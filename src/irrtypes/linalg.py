@@ -6,8 +6,7 @@ must support +, -, *, / and be falsy exactly when zero; both stdlib
 The callers are the root-system layer, whose matrices are the size of
 the ambient rank, so no attempt at pivoting strategies or sparsity.
 Connection germs use the Gaussian-integer kernel in
-:mod:`irrtypes.connections` instead; of this module they take only
-``mat_identity``.
+:mod:`irrtypes.connections` instead and take nothing from this module.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ def kernel_basis(rows: Sequence[Sequence[F]], ncols: int, one: F, zero: F) -> Ma
             v[pc] = -r[fc]
         basis.append(v)
     return basis
-
-
-def mat_identity(n: int, one: F, zero: F) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def clear_denominators(vector: Sequence[Fraction]) -> List[Fraction]:

@@ -24,7 +24,6 @@ from .irregular import (
 from .polynomials import MultiPoly
 from .rootsystems import LeviFiltration, LeviSubsystem, RootSystem
 from .scalars import GaussianRational, rat_from_str, rat_to_str
-from .series import LaurentTail, TruncatedSeries
 from .strata import StratumDescriptor
 from .symmetry import AffineG1, SL2ZElement, TorusG2, UpperHalfPoint
 
@@ -261,22 +260,21 @@ def stratum_from_json(system: RootSystem, p: int, data: object) -> StratumDescri
 
 
 def germ_to_json(germ: ConnectionGerm) -> dict:
-    entries = []
-    for row in germ.entries:
-        out_row = []
-        for tail, regular in row:
-            out_row.append(
-                {
-                    "tail": _vector_to_json(tail.coeffs),
-                    "regular": _vector_to_json(regular.coeffs),
-                }
-            )
-        entries.append(out_row)
+    def orders(i: int, j: int, lo: int, hi: int) -> list:
+        return _vector_to_json([germ.coefficient(i, j, l) for l in range(lo, hi)])
+
+    depth = germ.pole_bound + 1
     return {
         "r": germ.r,
         "pole_bound": germ.pole_bound,
         "precision": germ.precision,
-        "entries": entries,
+        "entries": [
+            [
+                {"tail": orders(i, j, -depth, 0), "regular": orders(i, j, 0, germ.precision)}
+                for j in range(germ.r)
+            ]
+            for i in range(germ.r)
+        ],
     }
 
 
@@ -304,11 +302,11 @@ def germ_from_json(data: object) -> ConnectionGerm:
                 raise MalformedInput("tail length must be pole_bound + 1")
             if len(regular) != precision:
                 raise MalformedInput("regular part length must equal the precision")
-            out_row.append(
-                (LaurentTail(pole_bound + 1, tail), TruncatedSeries(precision, regular))
-            )
+            out_row.append(tail + regular)
         entries.append(out_row)
-    return ConnectionGerm(r, pole_bound, entries)
+    # entries[i][j] lists orders -(k+1) .. N-1 of entry (i, j); regroup them by order
+    by_order = dict(zip(range(-(pole_bound + 1), precision), zip(*(zip(*row) for row in entries))))
+    return ConnectionGerm.from_order_dict(r, pole_bound, precision, by_order)
 
 
 def gauge_to_json(g: GaugeElement) -> dict:

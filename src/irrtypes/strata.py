@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Sequence, Tuple
 
-from .errors import NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch
-from .irregular import IrregularType, RootOrderVector, root_order_vector
+from .errors import NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch, TooLarge
+from .irregular import IrregularType, RootOrderVector, root_order_vector, sublevel_sets
 from .rootsystems import (
     LeviFiltration,
     RootSystem,
@@ -26,9 +26,16 @@ from .rootsystems import (
 )
 
 WITNESS_HEIGHT_CAP = 64
+# Largest pole bound an order vector may carry: every path through
+# ``_order_tuple`` builds p sublevel sets, and the witness search runs one
+# kernel search per level.  p = 1024 on B3 takes about 1 s for a
+# dimension and 2 s for a witness on a 2-vCPU machine.
+POLE_BOUND_BUDGET = 1024
 
 
 def _order_tuple(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> Tuple[int, ...]:
+    if p > POLE_BOUND_BUDGET:
+        raise TooLarge(f"pole bound {p} exceeds the budget of {POLE_BOUND_BUDGET}")
     if isinstance(orders, RootOrderVector):
         if orders.rootsystem != system or orders.p != p:
             raise ShapeMismatch("order vector belongs to different data")
@@ -40,13 +47,6 @@ def _order_tuple(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVe
         if d < 0 or d > p:
             raise OutOfRange(f"order {d} outside 0..{p}")
     return tup
-
-
-def sublevel_sets(system: RootSystem, p: int, orders: Sequence[int]) -> List[frozenset]:
-    """The sets {alpha : d_alpha < i} for i = 1 .. p."""
-    return [
-        frozenset(a for a, d in enumerate(orders) if d < i) for i in range(1, p + 1)
-    ]
 
 
 def is_relevant(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> bool:

@@ -9,7 +9,10 @@ textbook versions work on any field entries (``Fraction`` or
 from fractions import Fraction
 
 from irrtypes import NotAUnit
-from irrtypes.linalg import mat_identity
+
+
+def mat_identity(n, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):

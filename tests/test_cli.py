@@ -20,23 +20,35 @@ import pytest
 import irrtypes
 from irrtypes import (
     ConnectionGerm,
+    FamilyIrregularType,
+    GaugeElement,
     IrregularType,
     IrregularTypeAtInfinity,
     LaurentTail,
+    MultiPoly,
     RootOrderVector,
     RootSystem,
     TruncatedSeries,
     build_root_system,
+    enumerate_strata,
+    gauge_transform,
     gauss,
+    is_admissible,
+    leading_regular_diagonalize,
 )
 from irrtypes.cli import run
 from irrtypes.serialization import (
     atinf_to_json,
+    family_to_json,
+    gauge_to_json,
     germ_to_json,
     irregular_type_to_json,
     order_vector_to_json,
     pair_to_json,
+    poly_to_json,
+    root_system_to_json,
     scalar_to_json,
+    stratum_to_json,
 )
 
 A1 = build_root_system("A", 1)
@@ -54,6 +66,19 @@ def _invoke(capsys, monkeypatch, argv, document=None):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
     code = run(argv)
     return code, capsys.readouterr().out
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _assert_error(code, out, expected_code, name, message=None):
+    assert code == expected_code
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert set(payload) == {"error", "message"} and payload["error"] == name
+    if message is not None:
+        assert payload["message"] == message
 
 
 class TestGoldenOutputs:
@@ -311,6 +336,133 @@ class TestErrorChannel:
         code, out = _invoke(capsys, monkeypatch, ["classify", "--input", str(tmp_path / "no.json")])
         assert code == 1
         assert json.loads(out)["error"] == "MalformedInput"
+
+    def test_non_utf8_file_exits_one(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"rank": 1}\xff')
+        code, out = _invoke(capsys, monkeypatch, ["classify", "--input", str(path)])
+        _assert_error(code, out, 1, "MalformedInput")
+        assert "utf-8" in json.loads(out)["message"]
+
+    def test_non_utf8_stdin_exits_one(self):
+        env = dict(_src_env(), PYTHONIOENCODING="utf-8:strict")
+        result = subprocess.run(
+            [sys.executable, "-m", "irrtypes.cli", "classify"],
+            input=b"\xff", capture_output=True, env=env, timeout=10,
+        )
+        assert result.returncode == 1
+        assert result.stdout.count(b"\n") == 1
+        assert json.loads(result.stdout)["error"] == "MalformedInput"
+        assert b"Traceback" not in result.stderr
+
+    def test_huge_pole_bound_exits_three_promptly(self):
+        B3 = build_root_system("B", 3)
+        doc = order_vector_to_json(RootOrderVector(B3, 10**6, [1] * len(B3)))
+        for argv, document in (
+            (["strata", "dimension"], doc),
+            (["strata", "witness"], doc),
+            (["dm-check", "--g", "0", "--m", "1"], [doc]),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "irrtypes.cli", *argv],
+                input=json.dumps(document), capture_output=True, text=True,
+                env=_src_env(), timeout=10,
+            )
+            assert result.returncode == 3, argv
+            assert result.stdout.count("\n") == 1
+            payload = json.loads(result.stdout)
+            assert set(payload) == {"error", "message"}
+            assert payload["error"] == "TooLarge"
+            assert "Traceback" not in result.stderr
+
+
+class TestHandlers:
+    """Each handler's output against the library call it wraps."""
+
+    def test_admissible_matches_library(self, capsys, monkeypatch):
+        t = MultiPoly.variable(("t",), "t")
+        one = MultiPoly.constant(("t",), 1)
+        for coefficients, verdict in (([[t], [one]], True), ([[one], [t]], False)):
+            fam = FamilyIrregularType(A1SPAN, 2, ("t",), coefficients)
+            code, out = _invoke(capsys, monkeypatch, ["admissible"], family_to_json(fam))
+            assert code == 0
+            ok, failures = is_admissible(fam)
+            assert ok is verdict
+            expected = {
+                "admissible": ok,
+                "witnesses": [{"root": i, "leading": poly_to_json(poly)} for i, poly in failures],
+            }
+            assert out == _canonical(expected)
+        assert [w["root"] for w in json.loads(out)["witnesses"]] == [0, 1]
+
+    def test_strata_enumerate_document_matches_flags(self, capsys, monkeypatch):
+        system = build_root_system("B", 2)
+        doc = {"rootsystem": root_system_to_json(system), "p": 2}
+        code, out = _invoke(capsys, monkeypatch, ["strata", "enumerate"], doc)
+        assert code == 0
+        assert out == _canonical([stratum_to_json(s) for s in enumerate_strata(system, 2)])
+        code, flags = _invoke(
+            capsys, monkeypatch, ["strata", "enumerate", "--family", "B", "--rank", "2", "-p", "2"]
+        )
+        assert code == 0 and flags == out
+
+    def test_strata_enumerate_document_needs_integer_p(self, capsys, monkeypatch):
+        for p in ("2", 2.0, True, None):
+            doc = {"rootsystem": root_system_to_json(A1), "p": p}
+            code, out = _invoke(capsys, monkeypatch, ["strata", "enumerate"], doc)
+            _assert_error(code, out, 1, "MalformedInput", "pole bound must be an integer")
+
+    def test_family_flag_needs_rank_and_p(self, capsys, monkeypatch):
+        for argv, message in (
+            (["strata", "enumerate", "--family", "A"], "--family requires --rank and -p"),
+            (["strata", "enumerate", "--family", "A", "--rank", "2"], "--family requires --rank and -p"),
+            (["strata", "enumerate", "--family", "A", "-p", "2"], "--family requires --rank and -p"),
+            (["levi", "list", "--family", "A"], "--family requires --rank"),
+        ):
+            code, out = _invoke(capsys, monkeypatch, argv)
+            _assert_error(code, out, 1, "MalformedInput", message)
+
+    def test_orbit_equal_needs_integer_weights(self, capsys, monkeypatch):
+        one = scalar_to_json(gauss(1))
+        for weight in (1.5, "2", True, None):
+            doc = {"first": [[one]], "second": [[one]], "weights": [weight]}
+            code, out = _invoke(capsys, monkeypatch, ["orbit-equal"], doc)
+            _assert_error(code, out, 1, "MalformedInput", "weights must be integers")
+
+    def test_connection_gauge_matches_library(self, capsys, monkeypatch):
+        data = {
+            -2: [[gauss(1), gauss(0)], [gauss(0), gauss(3)]],
+            -1: [[gauss(0), gauss(1, 1)], [gauss(2), gauss(0)]],
+            0: [[gauss(Fraction(1, 2)), gauss(0)], [gauss(0), gauss(-1)]],
+        }
+        germ = ConnectionGerm.from_order_dict(2, 1, 2, data)
+        g = GaugeElement(2, [[[gauss(1), gauss(2)], [gauss(0), gauss(1)]],
+                             [[gauss(0), gauss(0, 1)], [gauss(3), gauss(0)]]])
+        doc = {"germ": germ_to_json(germ), "gauge": gauge_to_json(g)}
+        code, out = _invoke(capsys, monkeypatch, ["connection", "gauge"], doc)
+        assert code == 0
+        assert out == _canonical(germ_to_json(gauge_transform(germ, g)))
+        # by construction: the identity gauge moves nothing
+        doc["gauge"] = gauge_to_json(GaugeElement.identity(2, 3))
+        code, out = _invoke(capsys, monkeypatch, ["connection", "gauge"], doc)
+        assert code == 0 and out == _canonical(germ_to_json(germ))
+
+    def test_connection_diagonalize_matches_library(self, capsys, monkeypatch):
+        # leading [[0, -1], [1, 0]] has eigenvalues +- i and is not diagonal
+        data = {
+            -3: [[gauss(0), gauss(-1)], [gauss(1), gauss(0)]],
+            -2: [[gauss(1), gauss(2)], [gauss(0), gauss(1)]],
+            0: [[gauss(1), gauss(2)], [gauss(3), gauss(4)]],
+        }
+        germ = ConnectionGerm.from_order_dict(2, 2, 3, data)
+        code, out = _invoke(capsys, monkeypatch, ["connection", "diagonalize"], germ_to_json(germ))
+        assert code == 0
+        gauge, moved = leading_regular_diagonalize(germ)
+        assert out == _canonical({"gauge": gauge_to_json(gauge), "germ": germ_to_json(moved)})
+        payload = json.loads(out)
+        assert payload["gauge"]["precision"] == 2
+        lead = [[cell["tail"][0] for cell in row] for row in payload["germ"]["entries"]]
+        assert lead[0][1] == lead[1][0] == scalar_to_json(gauss(0))
 
 
 class TestRuntimeDependencies:

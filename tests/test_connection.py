@@ -9,6 +9,7 @@ from irrtypes import (
     G_ZERO,
     ConnectionGerm,
     GaugeElement,
+    LaurentTail,
     LeadingNotRegular,
     MalformedInput,
     NotAUnit,
@@ -17,6 +18,7 @@ from irrtypes import (
     PrecisionExhausted,
     ShapeMismatch,
     TooLarge,
+    TruncatedSeries,
     Twisted,
     extract_irregular_type,
     gauge_compose,
@@ -29,6 +31,7 @@ from irrtypes import (
 )
 from irrtypes import connections
 from irrtypes.scalars import G_ONE
+from irrtypes.serialization import gauge_from_json, gauge_to_json, germ_from_json, germ_to_json
 from linalg_oracles import mat_inverse, mat_mul
 
 
@@ -58,6 +61,61 @@ class TestGermConstruction:
     def test_shape_validation(self):
         with pytest.raises(MalformedInput):
             ConnectionGerm.from_order_dict(2, 1, 2, {-2: [[gauss(1)]]})
+        for r, k, n in ((0, 1, 2), (1, -1, 2), (1, 1, 0)):
+            with pytest.raises(MalformedInput):
+                ConnectionGerm.from_order_dict(r, k, n, {})
+
+    def test_series_pairs_and_order_map_agree(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            r, k, n = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
+            data = {
+                l: [[gauss(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(r)] for _ in range(r)]
+                for l in range(-(k + 1), n)
+                if rng.random() < 0.7
+            }
+
+            def at(i, j, l):
+                return data[l][i][j] if l in data else G_ZERO
+
+            pairs = [
+                [
+                    (
+                        LaurentTail(k + 1, [at(i, j, l) for l in range(-(k + 1), 0)]),
+                        TruncatedSeries(n, [at(i, j, l) for l in range(n)]),
+                    )
+                    for j in range(r)
+                ]
+                for i in range(r)
+            ]
+            germ = ConnectionGerm(r, k, pairs)
+            assert germ == ConnectionGerm.from_order_dict(r, k, n, data)
+            assert (germ.r, germ.pole_bound, germ.precision) == (r, k, n)
+            for l in range(-(k + 2), n):
+                assert germ.coefficient_matrix(l) == [[at(i, j, l) for j in range(r)] for i in range(r)]
+
+    def test_order_map_paths_build_no_series(self, monkeypatch):
+        """Germs built from order maps, products and JSON never make series objects."""
+        made = []
+
+        def counted(cls):
+            original = cls.__post_init__
+
+            def post_init(self):
+                made.append(cls.__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        counted(LaurentTail)
+        counted(TruncatedSeries)
+        germ = _diag_germ(1, 2, (gauss(1), gauss(2)), middle=(gauss(0, 1), gauss(3)))
+        g = GaugeElement(2, [[[gauss(1), gauss(1)], [gauss(0), gauss(2)]],
+                             [[gauss(0), gauss(1)], [gauss(1), gauss(3)]]])
+        moved = gauge_transform(germ, g)
+        assert germ_from_json(germ_to_json(moved)) == moved
+        leading_regular_diagonalize(moved)
+        assert made == []
 
 
 class TestCartan:
@@ -104,6 +162,41 @@ class TestGaugeElement:
     def test_constant_term_must_be_invertible(self):
         with pytest.raises(NotAUnit):
             GaugeElement(2, [[[gauss(1)], [gauss(2)]], [[gauss(2)], [gauss(4)]]])
+
+    def test_singular_outside_input_still_rejected(self):
+        singular = [[[gauss(1), gauss(5)], [gauss(2), gauss(0)]], [[gauss(2), gauss(1)], [gauss(4), gauss(1)]]]
+        with pytest.raises(NotAUnit):
+            GaugeElement(2, singular)
+        with pytest.raises(NotAUnit):
+            GaugeElement.from_constant([[gauss(0), gauss(0)], [gauss(0), gauss(1)]])
+        data = gauge_to_json(GaugeElement.identity(2, 2))
+        data["entries"][1][1][0] = {"re": "0", "im": "0"}
+        with pytest.raises(NotAUnit):
+            gauge_from_json(data)
+
+    def test_compose_does_not_recheck_the_product(self, monkeypatch):
+        a = GaugeElement(2, [[[gauss(1), gauss(2)], [gauss(1), gauss(0)]], [[gauss(0), gauss(1)], [gauss(1), gauss(5)]]])
+        b = GaugeElement.from_constant([[gauss(2), gauss(1)], [gauss(1), gauss(1)]])
+        calls = []
+        inverse = connections._gi_mat_inverse
+
+        def counted(*args):
+            calls.append(1)
+            return inverse(*args)
+
+        monkeypatch.setattr(connections, "_gi_mat_inverse", counted)
+        c = gauge_compose(a, b)
+        assert calls == []
+        # (1 + A1 z) B: constant term A0 B, linear term A1 B
+        assert c.entries[0][0] == (gauss(3), gauss(4))
+        assert c.entries[1][1] == (gauss(1), gauss(6))
+        assert c.order == 2
+
+    def test_entries_view_is_read_only(self):
+        g = GaugeElement(1, [[[gauss(1), gauss(2)]]])
+        with pytest.raises(AttributeError):
+            g.entries = ()
+        assert g.entries == (((gauss(1), gauss(2)),),)
 
     def test_compose_is_polynomial_product(self):
         a = GaugeElement(1, [[[gauss(1), gauss(2)]]])  # 1 + 2z

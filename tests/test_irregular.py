@@ -106,6 +106,28 @@ class TestInducedFiltration:
         for i, d in enumerate(vec.orders):
             assert d == sum(1 for level in filt.levels if i not in level)
 
+    def test_levels_are_the_common_kernels(self):
+        """Level i holds the roots vanishing on A_i .. A_p, paired here directly."""
+        rng = random.Random(17)
+        for system in (A2, B2, build_root_system("C", 3)):
+            for _ in range(20):
+                p = rng.randint(0, 3)
+                coeffs = [
+                    [gauss(rng.choice([0, 0, 1, -1, 2])) for _ in range(system.rank)]
+                    for _ in range(p)
+                ]
+                q = IrregularType(system, p, coeffs)
+                expected = tuple(
+                    frozenset(
+                        a for a, root in enumerate(system.roots)
+                        if all(not sum((x * c for x, c in zip(root, coeffs[j - 1])), gauss(0)) for j in range(i, p + 1))
+                    )
+                    for i in range(1, p + 1)
+                )
+                vec = root_order_vector(q)
+                assert levi_filtration_of(q).levels == expected
+                assert levi_filtration_of(vec) == levi_filtration_of(q)
+
 
 def _family(coeff_polys, p, variables=("t",), system=A1):
     return FamilyIrregularType(system, p, variables, coeff_polys)

@@ -13,11 +13,10 @@ from irrtypes.linalg import (
     clear_denominators,
     in_row_span,
     kernel_basis,
-    mat_identity,
     mat_rank,
     rref,
 )
-from linalg_oracles import char_poly, mat_inverse, mat_mul, mat_vec
+from linalg_oracles import char_poly, mat_identity, mat_inverse, mat_mul, mat_vec
 
 
 F = Fraction
