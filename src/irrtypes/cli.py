@@ -16,47 +16,20 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import __version__
-from .connections import (
-    extract_irregular_type,
-    gauge_transform,
-    leading_regular_diagonalize,
+# Module objects only: each submodule runs its body on first use, so a
+# request loads only what its handler touches, and every library name is
+# looked up at call time.
+from . import (
+    SCHEMA_VERSION,
+    __version__,
+    connections,
+    irregular,
+    rootsystems,
+    serialization,
+    strata,
+    symmetry,
 )
 from .errors import IrrTypesError, MalformedInput, TooLarge, exit_code_for
-from .irregular import is_admissible, levi_filtration_of, root_order_vector
-from .rootsystems import RootSystem, build_root_system, enumerate_levi
-from .serialization import (
-    SCHEMA_VERSION,
-    _as_list,
-    _as_object,
-    atinf_from_json,
-    family_from_json,
-    gauge_from_json,
-    germ_from_json,
-    germ_to_json,
-    gauge_to_json,
-    irregular_type_from_json,
-    irregular_type_to_json,
-    order_vector_from_json,
-    pair_from_json,
-    poly_to_json,
-    root_system_from_json,
-    scalar_from_json,
-    scalar_to_json,
-    sl2z_from_json,
-    stratum_to_json,
-    upper_half_from_json,
-)
-from .strata import enumerate_strata, stratum_dimension, stratum_witness
-from .symmetry import (
-    InfiniteOrder,
-    dm_check,
-    exchange_map,
-    g1_stabilizer_order,
-    g2_stabilizer_order,
-    sl2z_act,
-    weighted_orbit_equivalent,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,136 +66,167 @@ def _emit(payload: object, mode: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _system_from_flags_or_document(ns: argparse.Namespace) -> RootSystem:
+def _enumerable_system(family: str, rank: int) -> rootsystems.RootSystem:
+    """The --family/--rank system, refused by its closed-form root count
+    before it is built when enumerating its flats would be refused."""
+    rootsystems.check_enumeration_guard(rootsystems.root_count(family, rank))
+    return rootsystems.build_root_system(family, rank)
+
+
+def _system_from_flags_or_document(ns: argparse.Namespace) -> rootsystems.RootSystem:
     if ns.family is not None:
         if ns.rank is None:
             raise MalformedInput("--family requires --rank")
-        return build_root_system(ns.family, ns.rank)
-    return root_system_from_json(_read_document(ns))
+        return _enumerable_system(ns.family, ns.rank)
+    return serialization.root_system_from_json(_read_document(ns))
 
 
 def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
     if ns.family is not None:
         if ns.rank is None or ns.p is None:
             raise MalformedInput("--family requires --rank and -p")
-        system, p = build_root_system(ns.family, ns.rank), ns.p
+        system, p = _enumerable_system(ns.family, ns.rank), ns.p
     else:
-        obj = _as_object(_read_document(ns), ("rootsystem", "p"), "enumeration request")
-        system = root_system_from_json(obj["rootsystem"])
+        obj = serialization._as_object(
+            _read_document(ns), ("rootsystem", "p"), "enumeration request"
+        )
+        system = serialization.root_system_from_json(obj["rootsystem"])
         p = obj["p"]
         if not isinstance(p, int) or isinstance(p, bool):
             raise MalformedInput("pole bound must be an integer")
-    return [stratum_to_json(s) for s in enumerate_strata(system, p)]
+    return [serialization.stratum_to_json(s) for s in strata.enumerate_strata(system, p)]
 
 
 def _cmd_strata_dimension(ns: argparse.Namespace) -> object:
-    vec = order_vector_from_json(_read_document(ns))
-    return {"dimension": stratum_dimension(vec.rootsystem, vec.p, vec)}
+    vec = serialization.order_vector_from_json(_read_document(ns))
+    return {"dimension": strata.stratum_dimension(vec.rootsystem, vec.p, vec)}
 
 
 def _cmd_strata_witness(ns: argparse.Namespace) -> object:
-    vec = order_vector_from_json(_read_document(ns))
-    return irregular_type_to_json(stratum_witness(vec.rootsystem, vec.p, vec))
+    vec = serialization.order_vector_from_json(_read_document(ns))
+    witness = strata.stratum_witness(vec.rootsystem, vec.p, vec)
+    return serialization.irregular_type_to_json(witness)
 
 
 def _cmd_classify(ns: argparse.Namespace) -> object:
-    q = irregular_type_from_json(_read_document(ns))
-    vec = root_order_vector(q)
-    filt = levi_filtration_of(vec)
+    q = serialization.irregular_type_from_json(_read_document(ns))
+    vec = irregular.root_order_vector(q)
+    filt = irregular.levi_filtration_of(vec)
     return {
         "d": list(vec.orders),
         "levels": [sorted(level) for level in filt.levels],
-        "dimension": stratum_dimension(q.rootsystem, q.p, vec),
+        "dimension": strata.stratum_dimension(q.rootsystem, q.p, vec),
     }
 
 
 def _cmd_admissible(ns: argparse.Namespace) -> object:
-    fam = family_from_json(_read_document(ns))
-    verdict, failures = is_admissible(fam)
+    fam = serialization.family_from_json(_read_document(ns))
+    verdict, failures = irregular.is_admissible(fam)
     return {
         "admissible": verdict,
         "witnesses": [
-            {"root": index, "leading": poly_to_json(poly)} for index, poly in failures
+            {"root": index, "leading": serialization.poly_to_json(poly)}
+            for index, poly in failures
         ],
     }
 
 
 def _cmd_connection_extract(ns: argparse.Namespace) -> object:
-    germ = germ_from_json(_read_document(ns))
-    return irregular_type_to_json(extract_irregular_type(germ))
+    germ = serialization.germ_from_json(_read_document(ns))
+    return serialization.irregular_type_to_json(connections.extract_irregular_type(germ))
 
 
 def _cmd_connection_diagonalize(ns: argparse.Namespace) -> object:
-    germ = germ_from_json(_read_document(ns))
-    gauge, moved = leading_regular_diagonalize(germ)
-    return {"gauge": gauge_to_json(gauge), "germ": germ_to_json(moved)}
+    germ = serialization.germ_from_json(_read_document(ns))
+    gauge, moved = connections.leading_regular_diagonalize(germ)
+    return {
+        "gauge": serialization.gauge_to_json(gauge),
+        "germ": serialization.germ_to_json(moved),
+    }
 
 
 def _cmd_connection_gauge(ns: argparse.Namespace) -> object:
-    obj = _as_object(_read_document(ns), ("germ", "gauge"), "gauge request")
-    germ = germ_from_json(obj["germ"])
-    gauge = gauge_from_json(obj["gauge"])
-    return germ_to_json(gauge_transform(germ, gauge))
+    obj = serialization._as_object(_read_document(ns), ("germ", "gauge"), "gauge request")
+    germ = serialization.germ_from_json(obj["germ"])
+    gauge = serialization.gauge_from_json(obj["gauge"])
+    return serialization.germ_to_json(connections.gauge_transform(germ, gauge))
 
 
 def _cmd_stabilizer(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
     if ns.group == "g1":
-        order = g1_stabilizer_order(atinf_from_json(doc))
+        order = symmetry.g1_stabilizer_order(serialization.atinf_from_json(doc))
     else:
-        order = g2_stabilizer_order(pair_from_json(doc))
-    return {"order": "infinite" if isinstance(order, InfiniteOrder) else order}
+        order = symmetry.g2_stabilizer_order(serialization.pair_from_json(doc))
+    return {"order": "infinite" if isinstance(order, symmetry.InfiniteOrder) else order}
 
 
 def _cmd_orbit_equal(ns: argparse.Namespace) -> object:
-    obj = _as_object(_read_document(ns), ("first", "second", "weights"), "orbit request")
+    obj = serialization._as_object(
+        _read_document(ns), ("first", "second", "weights"), "orbit request"
+    )
+    scalar = serialization.scalar_from_json
     first = [
-        [scalar_from_json(x) for x in _as_list(vec, "coefficient vector")]
-        for vec in _as_list(obj["first"], "first")
+        [scalar(x) for x in serialization._as_list(vec, "coefficient vector")]
+        for vec in serialization._as_list(obj["first"], "first")
     ]
     second = [
-        [scalar_from_json(x) for x in _as_list(vec, "coefficient vector")]
-        for vec in _as_list(obj["second"], "second")
+        [scalar(x) for x in serialization._as_list(vec, "coefficient vector")]
+        for vec in serialization._as_list(obj["second"], "second")
     ]
     weights = []
-    for w in _as_list(obj["weights"], "weights"):
+    for w in serialization._as_list(obj["weights"], "weights"):
         if not isinstance(w, int) or isinstance(w, bool):
             raise MalformedInput("weights must be integers")
         weights.append(w)
-    return {"equivalent": weighted_orbit_equivalent(first, second, weights)}
+    return {"equivalent": symmetry.weighted_orbit_equivalent(first, second, weights)}
 
 
 def _cmd_dm_check(ns: argparse.Namespace) -> object:
-    vectors = [order_vector_from_json(item) for item in _as_list(_read_document(ns), "order vectors")]
-    relevant, bound = dm_check(ns.g, ns.m, vectors)
+    vectors = [
+        serialization.order_vector_from_json(item)
+        for item in serialization._as_list(_read_document(ns), "order vectors")
+    ]
+    relevant, bound = symmetry.dm_check(ns.g, ns.m, vectors)
     return {"relevant": relevant, "deligne_mumford": bound}
 
 
 def _cmd_exchange(ns: argparse.Namespace) -> object:
-    obj = _as_object(_read_document(ns), ("regular", "configuration"), "exchange request")
-    regular = [scalar_from_json(x) for x in _as_list(obj["regular"], "regular tuple")]
-    configuration = [
-        scalar_from_json(x) for x in _as_list(obj["configuration"], "configuration")
+    obj = serialization._as_object(
+        _read_document(ns), ("regular", "configuration"), "exchange request"
+    )
+    regular = [
+        serialization.scalar_from_json(x)
+        for x in serialization._as_list(obj["regular"], "regular tuple")
     ]
-    out_conf, out_reg = exchange_map(regular, configuration)
+    configuration = [
+        serialization.scalar_from_json(x)
+        for x in serialization._as_list(obj["configuration"], "configuration")
+    ]
+    out_conf, out_reg = symmetry.exchange_map(regular, configuration)
     return {
-        "configuration": [scalar_to_json(x) for x in out_conf],
-        "regular": [scalar_to_json(x) for x in out_reg],
+        "configuration": [serialization.scalar_to_json(x) for x in out_conf],
+        "regular": [serialization.scalar_to_json(x) for x in out_reg],
     }
 
 
 def _cmd_sl2z_act(ns: argparse.Namespace) -> object:
-    obj = _as_object(_read_document(ns), ("gamma", "tau", "type"), "modular request")
-    gamma = sl2z_from_json(obj["gamma"])
-    point = upper_half_from_json({"tau": obj["tau"]})
-    q = irregular_type_from_json(obj["type"])
-    new_point, new_q = sl2z_act(gamma, point, q)
-    return {"tau": scalar_to_json(new_point.tau), "type": irregular_type_to_json(new_q)}
+    obj = serialization._as_object(
+        _read_document(ns), ("gamma", "tau", "type"), "modular request"
+    )
+    gamma = serialization.sl2z_from_json(obj["gamma"])
+    point = serialization.upper_half_from_json({"tau": obj["tau"]})
+    q = serialization.irregular_type_from_json(obj["type"])
+    new_point, new_q = symmetry.sl2z_act(gamma, point, q)
+    return {
+        "tau": serialization.scalar_to_json(new_point.tau),
+        "type": serialization.irregular_type_to_json(new_q),
+    }
 
 
 def _cmd_levi_list(ns: argparse.Namespace) -> object:
     system = _system_from_flags_or_document(ns)
-    return [list(levi.sorted_members()) for levi in enumerate_levi(system)]
+    return [list(levi.sorted_members()) for levi in rootsystems.enumerate_levi(system)]
 
 
 def _cmd_version(ns: argparse.Namespace) -> object:

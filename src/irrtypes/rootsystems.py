@@ -104,6 +104,34 @@ class RootSystem:
         return mat_rank([list(r) for r in self.roots])
 
 
+def root_count(family: str, rank: int) -> int:
+    """Number of roots ``build_root_system(family, rank)`` would build.
+
+    Closed form, without building anything; raises ``Unsupported``
+    exactly where the builder does.
+    """
+    fam = family.upper()
+    if fam == "A":
+        if rank < 1:
+            raise Unsupported("family A needs rank >= 1")
+        return rank * (rank + 1)
+    if fam in ("B", "C", "D"):
+        if rank < 2:
+            raise Unsupported(f"family {fam} needs rank >= 2")
+        return 2 * rank * (rank - 1) if fam == "D" else 2 * rank * rank
+    if fam == "G":
+        if rank != 2:
+            raise Unsupported("family G exists only in rank 2")
+        return 12
+    raise Unsupported(f"unknown family {family!r}")
+
+
+def check_enumeration_guard(roots: int) -> None:
+    """Refuse, before any flat is computed, a system ``enumerate_levi`` would refuse."""
+    if roots > ENUMERATION_GUARD:
+        raise TooLarge(f"root system has {roots} roots; guard is {ENUMERATION_GUARD}")
+
+
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Standard integral realization of a classical family.
 
@@ -112,10 +140,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     of Q^3.  Anything else raises ``Unsupported``.
     """
     fam = family.upper()
+    root_count(family, rank)  # raises Unsupported for anything but A, B, C, D and G2
     roots: List[Tuple[int, ...]] = []
     if fam == "A":
-        if rank < 1:
-            raise Unsupported("family A needs rank >= 1")
         dim = rank + 1
         for i in range(dim):
             for j in range(dim):
@@ -125,8 +152,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     roots.append(tuple(vec))
         ambient = dim
     elif fam in ("B", "C", "D"):
-        if rank < 2:
-            raise Unsupported(f"family {fam} needs rank >= 2")
         ambient = rank
         for i, j in combinations(range(rank), 2):
             for si in (1, -1):
@@ -141,17 +166,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     vec = [0] * rank
                     vec[i] = s * scale
                     roots.append(tuple(vec))
-    elif fam == "G":
-        if rank != 2:
-            raise Unsupported("family G exists only in rank 2")
+    else:
         ambient = 3
         short = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
         long = [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
         for vec in short + long:
             roots.append(vec)
             roots.append(tuple(-x for x in vec))
-    else:
-        raise Unsupported(f"unknown family {family!r}")
     ordered = sorted(roots)
     return RootSystem(ambient, ordered, family=f"{fam}{rank}")
 
@@ -265,10 +286,7 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
     give that cover again, so it is skipped: each flat costs one closure
     per cover rather than one per root outside it.
     """
-    if len(system) > ENUMERATION_GUARD:
-        raise TooLarge(
-            f"root system has {len(system)} roots; guard is {ENUMERATION_GUARD}"
-        )
+    check_enumeration_guard(len(system))
     seen = {frozenset()}
     frontier = [frozenset()]
     while frontier:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from . import SCHEMA_VERSION  # noqa: F401  (re-exported)
 from .connections import ConnectionGerm, GaugeElement
 from .errors import MalformedInput
 from .irregular import (
@@ -26,8 +27,6 @@ from .rootsystems import LeviFiltration, LeviSubsystem, RootSystem
 from .scalars import GaussianRational, rat_from_str, rat_to_str
 from .strata import StratumDescriptor
 from .symmetry import AffineG1, SL2ZElement, TorusG2, UpperHalfPoint
-
-SCHEMA_VERSION = 1
 
 
 def _as_object(value: object, keys: Sequence[str], what: str) -> Dict[str, object]:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch, TooLarge
 from .irregular import IrregularType, RootOrderVector, root_order_vector, sublevel_sets
 from .rootsystems import (
     LeviFiltration,
+    LeviSubsystem,
     RootSystem,
     enumerate_levi,
     kernel_intersection_dim,
@@ -26,16 +28,25 @@ from .rootsystems import (
 )
 
 WITNESS_HEIGHT_CAP = 64
-# Largest pole bound an order vector may carry: every path through
-# ``_order_tuple`` builds p sublevel sets, and the witness search runs one
-# kernel search per level.  p = 1024 on B3 takes about 1 s for a
-# dimension and 2 s for a witness on a 2-vCPU machine.
+# Largest pole bound an order vector or an enumeration may carry: every
+# path through ``_order_tuple`` builds p sublevel sets, and the witness
+# search runs one kernel search per level.  p = 1024 on B3 takes about 1 s
+# for a dimension and 2 s for a witness on a 2-vCPU machine.
 POLE_BOUND_BUDGET = 1024
+# Most strata one enumeration may list.  On the 12-24 root systems at
+# p <= 16 a stratum costs 76-140 us to build and encode (2-vCPU machine),
+# so the budget is about 3 s there: A3 has 14,025 strata at p = 16
+# (1.3 s) and 202,581 at p = 40.
+STRATA_BUDGET = 20_000
+
+
+def _check_pole_bound(p: int) -> None:
+    if p > POLE_BOUND_BUDGET:
+        raise TooLarge(f"pole bound {p} exceeds the budget of {POLE_BOUND_BUDGET}")
 
 
 def _order_tuple(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> Tuple[int, ...]:
-    if p > POLE_BOUND_BUDGET:
-        raise TooLarge(f"pole bound {p} exceeds the budget of {POLE_BOUND_BUDGET}")
+    _check_pole_bound(p)
     if isinstance(orders, RootOrderVector):
         if orders.rootsystem != system or orders.p != p:
             raise ShapeMismatch("order vector belongs to different data")
@@ -115,6 +126,28 @@ class StratumDescriptor:
         return f"StratumDescriptor(d={list(self.orders.orders)}, p={self.p})"
 
 
+def _count_chains(levis: Sequence[LeviSubsystem], p: int) -> int:
+    """Number of chains L_1 <= .. <= L_p of Levi subsystems, none listed.
+
+    A chain with k distinct members is a strict chain of k Levis spread
+    over p positions, which can be done in C(p - 1, k - 1) ways.  The
+    strict chains are counted by their top member; ``levis`` is sorted by
+    size, so every proper subsystem of a Levi comes before it.
+    """
+    if p == 0:
+        return 1
+    members = [levi.members for levi in levis]
+    below = [[j for j in range(i) if members[j] < top] for i, top in enumerate(members)]
+    ending = [1] * len(members)
+    total = 0
+    for k in range(1, p + 1):
+        total += comb(p - 1, k - 1) * sum(ending)
+        ending = [sum(ending[j] for j in lower) for lower in below]
+        if not any(ending):
+            break
+    return total
+
+
 def enumerate_strata(system: RootSystem, p: int) -> List[StratumDescriptor]:
     """All strata of pole bound p: nested Levi chains of length p.
 
@@ -123,7 +156,11 @@ def enumerate_strata(system: RootSystem, p: int) -> List[StratumDescriptor]:
     """
     if p < 0:
         raise OutOfRange("pole bound must be non-negative")
+    _check_pole_bound(p)
     levis = enumerate_levi(system)
+    count = _count_chains(levis, p)
+    if count > STRATA_BUDGET:
+        raise TooLarge(f"pole bound {p} gives {count} strata; budget is {STRATA_BUDGET}")
     chains: List[List[frozenset]] = [[]]
     for _ in range(p):
         extended = []

@@ -262,6 +262,37 @@ class TestErrorChannel:
         assert code == 3
         assert json.loads(out)["error"] == "TooLarge"
 
+    def test_guard_message_names_the_root_count(self, capsys, monkeypatch):
+        code, out = _invoke(capsys, monkeypatch, ["levi", "list", "--family", "B", "--rank", "6"])
+        assert (code, out) == (3, '{"error":"TooLarge","message":"root system has 72 roots; guard is 60"}\n')
+
+    def test_huge_rank_exits_three_promptly(self):
+        # The closed-form root count refuses the system before it is built.
+        for argv in (
+            ["levi", "list", "--family", "A", "--rank", str(10**6)],
+            ["strata", "enumerate", "--family", "C", "--rank", str(10**6), "-p", "1"],
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "irrtypes.cli", *argv],
+                capture_output=True, text=True, env=_src_env(), timeout=5,
+            )
+            assert result.returncode == 3, argv
+            assert json.loads(result.stdout)["error"] == "TooLarge"
+            assert "Traceback" not in result.stderr
+
+    def test_unsupported_family_or_rank_wins_over_the_guard(self, capsys, monkeypatch):
+        for family, rank in (("G", 10**6), ("D", 1)):
+            code, out = _invoke(
+                capsys, monkeypatch, ["levi", "list", "--family", family, "--rank", str(rank)]
+            )
+            _assert_error(code, out, 2, "Unsupported")
+
+    def test_strata_budget_exits_three(self, capsys, monkeypatch):
+        code, out = _invoke(
+            capsys, monkeypatch, ["strata", "enumerate", "--family", "A", "--rank", "3", "-p", "40"]
+        )
+        _assert_error(code, out, 3, "TooLarge", "pole bound 40 gives 202581 strata; budget is 20000")
+
     def test_huge_literal_exits_three(self, capsys, monkeypatch, tmp_path):
         doc = {"rank": 1, "roots": [["9" * 5000], ["-" + "9" * 5000]], "family": None}
         path = tmp_path / "roots.json"

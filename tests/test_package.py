@@ -1,6 +1,13 @@
 """The package namespace: what ``from irrtypes import *`` binds."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import irrtypes
 
@@ -45,3 +52,82 @@ def test_star_import_leaves_submodule_names_alone():
     exec("from irrtypes import *", namespace)
     assert namespace["errors"] == "mine" and namespace["series"] == "mine"
     assert namespace["IrregularTypeAtInfinity"] is irrtypes.IrregularTypeAtInfinity
+
+
+def _python(*args):
+    """Run a child interpreter that imports this checkout's irrtypes."""
+    src = str(Path(irrtypes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+# Lists the irrtypes submodules whose body has run.  A lazily registered
+# module has no ``__builtins__`` until its body runs, and reading its
+# namespace through ``object.__getattribute__`` does not load it.
+_RAN = (
+    "import sys\n"
+    "print(sorted(n for n, m in list(sys.modules.items()) if n.startswith('irrtypes.')"
+    " and n != 'irrtypes.cli' and '__builtins__' in object.__getattribute__(m, '__dict__')))\n"
+)
+
+
+def test_dir_lists_exactly_the_public_names_beside_the_submodules():
+    public = {
+        name for name in dir(irrtypes)
+        if not name.startswith("_") and not isinstance(getattr(irrtypes, name), ModuleType)
+    }
+    assert public - {"SCHEMA_VERSION"} == PUBLIC_NAMES
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    result = _python(
+        "-c",
+        "import irrtypes\n"
+        "print(sum(1 for name in irrtypes.__all__ if getattr(irrtypes, name) is not None))\n"
+        "from irrtypes import *\n",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "90\n"
+
+
+def test_import_runs_no_submodule():
+    result = _python("-c", "import irrtypes\n" + _RAN)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [["version"], ["bogus"], ["levi", "--output", "x"], []])
+def test_version_and_usage_errors_run_only_the_errors_module(argv):
+    script = (
+        "import contextlib, io\n"
+        "from irrtypes import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run({argv!r})\n"
+        "print(code)\n"
+    ) + _RAN
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    code, ran = result.stdout.splitlines()
+    assert code == ("0" if argv == ["version"] else "1")
+    assert ran == "['irrtypes.errors']"
+
+
+def test_module_run_of_the_cli_warns_nothing():
+    result = _python("-W", "error", "-m", "irrtypes.cli", "version")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {"schema": 1, "version": irrtypes.__version__}
+
+
+def test_importing_the_cli_registers_every_submodule():
+    result = _python(
+        "-c",
+        "import pkgutil, sys\n"
+        "import irrtypes.cli\n"
+        "names = [m.name for m in pkgutil.iter_modules(irrtypes.__path__)]\n"
+        "print(len(names), [n for n in names if 'irrtypes.' + n not in sys.modules])\n",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "12 []\n"

@@ -22,6 +22,7 @@ from irrtypes import (
     enumerate_levi,
     span_closure,
 )
+from irrtypes.rootsystems import ENUMERATION_GUARD, check_enumeration_guard, root_count
 
 
 def _oracle_rank(vectors):
@@ -82,10 +83,20 @@ class TestRealizations:
 
     @pytest.mark.parametrize(
         "family,rank,count",
-        [("A", 1, 2), ("A", 2, 6), ("A", 3, 12), ("B", 2, 8), ("C", 2, 8), ("D", 2, 4), ("B", 3, 18), ("G", 2, 12)],
+        [("A", 1, 2), ("A", 2, 6), ("A", 3, 12), ("B", 2, 8), ("C", 2, 8), ("D", 2, 4), ("B", 3, 18), ("G", 2, 12),
+         ("A", 6, 42), ("C", 3, 18), ("D", 4, 24), ("B", 5, 50), ("D", 5, 40)],
     )
     def test_root_counts(self, family, rank, count):
-        assert len(build_root_system(family, rank)) == count
+        # root_count is the closed form the CLI checks before building.
+        assert len(build_root_system(family, rank)) == count == root_count(family, rank)
+
+    @pytest.mark.parametrize("family,rank", [("E", 8), ("D", 1), ("B", 1), ("A", 0), ("G", 3), ("x", 2)])
+    def test_root_count_refuses_like_the_builder(self, family, rank):
+        with pytest.raises(Unsupported) as counted:
+            root_count(family, rank)
+        with pytest.raises(Unsupported) as built:
+            build_root_system(family, rank)
+        assert str(counted.value) == str(built.value)
 
     def test_g2_has_two_lengths(self):
         system = build_root_system("G", 2)
@@ -157,6 +168,11 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(TooLarge):
             enumerate_levi(build_root_system("A", 8))
+
+    def test_guard_needs_only_the_root_count(self):
+        check_enumeration_guard(ENUMERATION_GUARD)
+        with pytest.raises(TooLarge, match="^root system has 1000001000000 roots; guard is 60$"):
+            check_enumeration_guard(root_count("A", 10**6))
 
     @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2)])
     def test_permuted_roots_ordered_like_oracle(self, family, rank):

@@ -12,9 +12,11 @@ from irrtypes import (
     RootSystem,
     ShapeMismatch,
     StratumDescriptor,
+    TooLarge,
     build_root_system,
     closure_leq,
     dvector_to_filtration,
+    enumerate_levi,
     enumerate_strata,
     filtration_to_dvector,
     is_relevant,
@@ -23,6 +25,7 @@ from irrtypes import (
     stratum_witness,
     sublevel_sets,
 )
+from irrtypes import strata
 
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
 A2 = build_root_system("A", 2)
@@ -77,6 +80,40 @@ class TestEnumeration:
     )
     def test_counts(self, system, p, count):
         assert len(enumerate_strata(system, p)) == count
+
+    @pytest.mark.parametrize(
+        "family,rank,p,count",
+        [("A", 3, 8, 1989), ("A", 4, 3, 1304), ("D", 4, 3, 1960), ("G", 2, 5, None), ("B", 3, 2, None)],
+    )
+    def test_counts_against_chain_oracle(self, family, rank, p, count):
+        """Chains L_1 <= .. <= L_p of flats, counted one position at a time."""
+        system = build_root_system(family, rank)
+        flats = [levi.members for levi in enumerate_levi(system)]
+        ending = [1] * len(flats)
+        for _ in range(p - 1):
+            ending = [sum(c for low, c in zip(flats, ending) if low <= top) for top in flats]
+        assert len(enumerate_strata(system, p)) == sum(ending)
+        assert count is None or sum(ending) == count
+
+    def test_budget_refuses_before_listing(self):
+        A3 = build_root_system("A", 3)
+        for p, count in ((40, 202581), (1000, 3006504501)):
+            with pytest.raises(TooLarge, match=f"^pole bound {p} gives {count} strata; budget is 20000$"):
+                enumerate_strata(A3, p)
+
+    def test_budget_counts_exactly(self, monkeypatch):
+        monkeypatch.setattr(strata, "STRATA_BUDGET", 12)
+        assert len(enumerate_strata(A2, 2)) == 12
+        monkeypatch.setattr(strata, "STRATA_BUDGET", 11)
+        with pytest.raises(TooLarge):
+            enumerate_strata(A2, 2)
+
+    def test_pole_bound_budget_holds_without_roots(self):
+        # One stratum for every p, so only the pole bound budget stops it.
+        empty = RootSystem(1, [])
+        assert len(enumerate_strata(empty, 3)) == 1
+        with pytest.raises(TooLarge, match="exceeds the budget of 1024"):
+            enumerate_strata(empty, 10**9)
 
     def test_p0_is_empty_chain(self):
         (only,) = enumerate_strata(A2, 0)
