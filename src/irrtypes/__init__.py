@@ -15,6 +15,12 @@ attribute access, such as ``irrtypes.strata.enumerate_strata``.  A
 public name such as ``irrtypes.enumerate_strata`` loads its submodule
 the same way.  On Python 3.10 and 3.11 that first load takes no lock, so
 the first touch of a submodule must not race across threads.
+
+A ``connection gauge`` or ``connection diagonalize`` request runs only
+``errors``, ``scalars`` and ``connections``: the germ and gauge codecs
+live in ``connections`` and the JSON shape checks in ``scalars``.
+``serialization`` re-exports those codecs and imports every other
+submodule.
 """
 
 import importlib.util as _util

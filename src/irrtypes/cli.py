@@ -25,6 +25,7 @@ from . import (
     connections,
     irregular,
     rootsystems,
+    scalars,
     serialization,
     strata,
     symmetry,
@@ -131,25 +132,27 @@ def _cmd_admissible(ns: argparse.Namespace) -> object:
     }
 
 
+# The germ handlers reach the codecs in ``connections``, so that gauge and
+# diagonalize requests never load ``serialization`` and what it imports.
 def _cmd_connection_extract(ns: argparse.Namespace) -> object:
-    germ = serialization.germ_from_json(_read_document(ns))
+    germ = connections.germ_from_json(_read_document(ns))
     return serialization.irregular_type_to_json(connections.extract_irregular_type(germ))
 
 
 def _cmd_connection_diagonalize(ns: argparse.Namespace) -> object:
-    germ = serialization.germ_from_json(_read_document(ns))
+    germ = connections.germ_from_json(_read_document(ns))
     gauge, moved = connections.leading_regular_diagonalize(germ)
     return {
-        "gauge": serialization.gauge_to_json(gauge),
-        "germ": serialization.germ_to_json(moved),
+        "gauge": connections.gauge_to_json(gauge),
+        "germ": connections.germ_to_json(moved),
     }
 
 
 def _cmd_connection_gauge(ns: argparse.Namespace) -> object:
-    obj = serialization._as_object(_read_document(ns), ("germ", "gauge"), "gauge request")
-    germ = serialization.germ_from_json(obj["germ"])
-    gauge = serialization.gauge_from_json(obj["gauge"])
-    return serialization.germ_to_json(connections.gauge_transform(germ, gauge))
+    obj = scalars._as_object(_read_document(ns), ("germ", "gauge"), "gauge request")
+    germ = connections.germ_from_json(obj["germ"])
+    gauge = connections.gauge_from_json(obj["gauge"])
+    return connections.germ_to_json(connections.gauge_transform(germ, gauge))
 
 
 def _cmd_stabilizer(ns: argparse.Namespace) -> object:

@@ -31,6 +31,15 @@ before it runs, from the sizes of its operands, and an exhausted budget
 raises ``TooLarge``.  The Hensel step has its own bounds on the primes it
 tries (``HENSEL_PRIME_BUDGET``) and on the precision it lifts to
 (``HENSEL_BITS_BUDGET``).
+
+The JSON codecs of germs and gauges (``germ_to_json``, ``germ_from_json``,
+``gauge_to_json``, ``gauge_from_json``) live here, on the shape checks
+of :mod:`irrtypes.scalars`; :mod:`irrtypes.serialization` re-exports
+them.  So a ``connection gauge`` or ``connection diagonalize`` request
+runs only :mod:`irrtypes.errors`, :mod:`irrtypes.scalars` and this
+module.  ``irregular``, ``rootsystems`` and ``series`` load on first use:
+by ``extract_irregular_type``, ``gl_cartan_system`` and the series-pair
+form of the ``ConnectionGerm`` constructor.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+# Module objects, looked up at call time (see the module docstring).
+from . import irregular, rootsystems, series
 from .errors import (
     LeadingNotRegular,
     MalformedInput,
@@ -50,23 +61,31 @@ from .errors import (
     TooLarge,
     Twisted,
 )
-from .irregular import IrregularType
-from .rootsystems import RootSystem, build_root_system
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, gauss
-from .series import LaurentTail, TruncatedSeries
+from .scalars import (
+    G_ONE,
+    G_ZERO,
+    GaussianRational,
+    ScalarLike,
+    _as_int,
+    _as_list,
+    _as_object,
+    _vector_from_json,
+    _vector_to_json,
+    gauss,
+)
 
 GMatrix = List[List[GaussianRational]]
 # One stored coefficient matrix of a germ or gauge window.
 Matrix = Tuple[Tuple[GaussianRational, ...], ...]
 
 
-def gl_cartan_system(r: int) -> RootSystem:
+def gl_cartan_system(r: int) -> rootsystems.RootSystem:
     """Root data of the full diagonal Cartan of gl_r: all e_i - e_j."""
     if r < 1:
         raise MalformedInput("matrix size must be positive")
     if r == 1:
-        return RootSystem(1, [])
-    return build_root_system("A", r - 1)
+        return rootsystems.RootSystem(1, [])
+    return rootsystems.build_root_system("A", r - 1)
 
 
 def _zero_matrix(r: int) -> Matrix:
@@ -488,7 +507,7 @@ class ConnectionGerm:
         self,
         r: int,
         pole_bound: int,
-        entries: Sequence[Sequence[Tuple[LaurentTail, TruncatedSeries]]],
+        entries: Sequence[Sequence[Tuple[series.LaurentTail, series.TruncatedSeries]]],
     ):
         if r < 1:
             raise MalformedInput("matrix size must be positive")
@@ -499,7 +518,9 @@ class ConnectionGerm:
         precisions = set()
         for row in entries:
             for tail, regular in row:
-                if not isinstance(tail, LaurentTail) or not isinstance(regular, TruncatedSeries):
+                if not isinstance(tail, series.LaurentTail) or not isinstance(
+                    regular, series.TruncatedSeries
+                ):
                     raise MalformedInput("each entry must pair a tail with a series")
                 if tail.pole_order_bound != pole_bound + 1:
                     raise MalformedInput("tail bound must equal pole_bound + 1")
@@ -604,7 +625,7 @@ def is_untwisted_in_basis(germ: ConnectionGerm) -> bool:
     )
 
 
-def extract_irregular_type(germ: ConnectionGerm) -> IrregularType:
+def extract_irregular_type(germ: ConnectionGerm) -> irregular.IrregularType:
     """Diagonal principal part as an irregular type, residue discarded.
 
     Inverts d: the coefficient of z^{-(l+1)} dz on the diagonal equals
@@ -619,7 +640,7 @@ def extract_irregular_type(germ: ConnectionGerm) -> IrregularType:
         vectors.append(
             [germ.coefficient(i, i, -(l + 1)) * inv for i in range(germ.r)]
         )
-    return IrregularType(system, germ.pole_bound, vectors)
+    return irregular.IrregularType(system, germ.pole_bound, vectors)
 
 
 def verify_framing_invariance(germ: ConnectionGerm, g: GaugeElement) -> bool:
@@ -847,3 +868,83 @@ def leading_regular_diagonalize(
     if not is_untwisted_in_basis(current):
         raise LeadingNotRegular("diagonalization failed to clear the principal part")
     return total, current
+
+
+def germ_to_json(germ: ConnectionGerm) -> dict:
+    def orders(i: int, j: int, lo: int, hi: int) -> list:
+        return _vector_to_json([germ.coefficient(i, j, l) for l in range(lo, hi)])
+
+    depth = germ.pole_bound + 1
+    return {
+        "r": germ.r,
+        "pole_bound": germ.pole_bound,
+        "precision": germ.precision,
+        "entries": [
+            [
+                {"tail": orders(i, j, -depth, 0), "regular": orders(i, j, 0, germ.precision)}
+                for j in range(germ.r)
+            ]
+            for i in range(germ.r)
+        ],
+    }
+
+
+def germ_from_json(data: object) -> ConnectionGerm:
+    obj = _as_object(data, ("r", "pole_bound", "precision", "entries"), "connection germ")
+    r = _as_int(obj["r"], "matrix size")
+    pole_bound = _as_int(obj["pole_bound"], "pole bound")
+    precision = _as_int(obj["precision"], "precision")
+    if pole_bound < 0 or precision < 1:
+        raise MalformedInput("need pole_bound >= 0 and precision >= 1")
+    rows = _as_list(obj["entries"], "entries")
+    if len(rows) != r:
+        raise MalformedInput("entry row count differs from the matrix size")
+    entries = []
+    for row in rows:
+        cells = _as_list(row, "entry row")
+        if len(cells) != r:
+            raise MalformedInput("entry column count differs from the matrix size")
+        out_row = []
+        for cell in cells:
+            cobj = _as_object(cell, ("tail", "regular"), "germ entry")
+            tail = _vector_from_json(cobj["tail"], "tail")
+            regular = _vector_from_json(cobj["regular"], "regular part")
+            if len(tail) != pole_bound + 1:
+                raise MalformedInput("tail length must be pole_bound + 1")
+            if len(regular) != precision:
+                raise MalformedInput("regular part length must equal the precision")
+            out_row.append(tail + regular)
+        entries.append(out_row)
+    # entries[i][j] lists orders -(k+1) .. N-1 of entry (i, j); regroup them by order
+    by_order = dict(zip(range(-(pole_bound + 1), precision), zip(*(zip(*row) for row in entries))))
+    return ConnectionGerm.from_order_dict(r, pole_bound, precision, by_order)
+
+
+def gauge_to_json(g: GaugeElement) -> dict:
+    return {
+        "r": g.r,
+        "precision": g.order,
+        "entries": [[_vector_to_json(cell) for cell in row] for row in g.entries],
+    }
+
+
+def gauge_from_json(data: object) -> GaugeElement:
+    obj = _as_object(data, ("r", "precision", "entries"), "gauge element")
+    r = _as_int(obj["r"], "matrix size")
+    precision = _as_int(obj["precision"], "precision")
+    rows = _as_list(obj["entries"], "entries")
+    if len(rows) != r:
+        raise MalformedInput("entry row count differs from the matrix size")
+    entries = []
+    for row in rows:
+        cells = _as_list(row, "entry row")
+        if len(cells) != r:
+            raise MalformedInput("entry column count differs from the matrix size")
+        out_row = []
+        for cell in cells:
+            coeffs = _vector_from_json(cell, "gauge entry")
+            if len(coeffs) != precision:
+                raise MalformedInput("gauge entry length must equal the precision")
+            out_row.append(coeffs)
+        entries.append(out_row)
+    return GaugeElement(r, entries)

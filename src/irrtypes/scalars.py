@@ -5,14 +5,18 @@ the degree-two extension by i together with the textual formats used on
 the JSON surface: rationals as ``"a"`` or ``"a/b"`` strings, Gaussian
 rationals as ``{"re": ..., "im": ...}`` objects.  Round trips through the
 textual form are bit exact.
+
+The JSON shape checks that every decoder shares (``_as_object``,
+``_as_list``, ``_as_int``, ``_as_str``) live here too, beside the scalar
+codec, so that the germ and gauge codecs in :mod:`irrtypes.connections`
+need nothing past this module and :mod:`irrtypes.errors`.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Dict, List, Sequence, Union
 
 from .errors import MalformedInput, NotAUnit, TooLarge
 
@@ -46,23 +50,84 @@ def rat_from_str(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
+def _as_object(value: object, keys: Sequence[str], what: str) -> Dict[str, object]:
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what}: expected an object, got {type(value).__name__}")
+    expected = set(keys)
+    present = set(value)
+    if present != expected:
+        extra = sorted(present - expected)
+        missing = sorted(expected - present)
+        parts = []
+        if missing:
+            parts.append(f"missing keys {missing}")
+        if extra:
+            parts.append(f"unknown keys {extra}")
+        raise MalformedInput(f"{what}: " + ", ".join(parts))
+    return value
+
+
+def _as_list(value: object, what: str) -> List[object]:
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what}: expected an array, got {type(value).__name__}")
+    return value
+
+
+def _as_int(value: object, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedInput(f"{what}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_str(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedInput(f"{what}: expected a string, got {value!r}")
+    return value
+
+
 ScalarLike = Union[int, Fraction, "GaussianRational"]
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class GaussianRational:
     """Element a + b*i of the Gaussian rationals.
 
     Immutable and hashable; real and imaginary parts are reduced
     :class:`Fraction` values.  Arithmetic is exact field arithmetic.
+    Equal exactly to another ``GaussianRational`` with the same parts,
+    never to an ``int`` or a ``Fraction``.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+    __match_args__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        _set(self, "re", re)
+        _set(self, "im", im)
+        # Looked up on the class, so that a wrapper installed there sees
+        # every scalar built.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        _set(self, "re", Fraction(self.re))
+        _set(self, "im", Fraction(self.im))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(value: ScalarLike) -> "GaussianRational":
@@ -160,3 +225,11 @@ G_I = GaussianRational(Fraction(0), Fraction(1))
 def gauss(re: ScalarLike = 0, im: ScalarLike = 0) -> GaussianRational:
     """Shorthand constructor from integer or rational parts."""
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def _vector_to_json(vector: Sequence[ScalarLike]) -> list:
+    return [GaussianRational.of(x).to_json() for x in vector]
+
+
+def _vector_from_json(data: object, what: str) -> List[GaussianRational]:
+    return [GaussianRational.from_json(x) for x in _as_list(data, what)]

@@ -7,14 +7,26 @@ keys, missing keys, wrong container types, and malformed literals all
 raise :class:`MalformedInput`.  Decoding then runs the normal
 constructors, so structural invariants (negation closure, span-closed
 levels, consistent precision) are re-checked on the way in.
+
+Importing this module loads every other library module.  The germ and
+gauge codecs (``germ_to_json``, ``germ_from_json``, ``gauge_to_json``,
+``gauge_from_json``) live in :mod:`irrtypes.connections` and are
+re-exported here; the shape checks (``_as_object`` and the like) live in
+:mod:`irrtypes.scalars`.  A ``connection gauge`` or ``connection
+diagonalize`` request calls them there and never loads this module.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import SCHEMA_VERSION  # noqa: F401  (re-exported)
-from .connections import ConnectionGerm, GaugeElement
+from .connections import (  # noqa: F401  (re-exported)
+    gauge_from_json,
+    gauge_to_json,
+    germ_from_json,
+    germ_to_json,
+)
 from .errors import MalformedInput
 from .irregular import (
     FamilyIrregularType,
@@ -24,44 +36,19 @@ from .irregular import (
 )
 from .polynomials import MultiPoly
 from .rootsystems import LeviFiltration, LeviSubsystem, RootSystem
-from .scalars import GaussianRational, rat_from_str, rat_to_str
+from .scalars import (
+    GaussianRational,
+    _as_int,
+    _as_list,
+    _as_object,
+    _as_str,
+    _vector_from_json,
+    _vector_to_json,
+    rat_from_str,
+    rat_to_str,
+)
 from .strata import StratumDescriptor
 from .symmetry import AffineG1, SL2ZElement, TorusG2, UpperHalfPoint
-
-
-def _as_object(value: object, keys: Sequence[str], what: str) -> Dict[str, object]:
-    if not isinstance(value, dict):
-        raise MalformedInput(f"{what}: expected an object, got {type(value).__name__}")
-    expected = set(keys)
-    present = set(value)
-    if present != expected:
-        extra = sorted(present - expected)
-        missing = sorted(expected - present)
-        parts = []
-        if missing:
-            parts.append(f"missing keys {missing}")
-        if extra:
-            parts.append(f"unknown keys {extra}")
-        raise MalformedInput(f"{what}: " + ", ".join(parts))
-    return value
-
-
-def _as_list(value: object, what: str) -> List[object]:
-    if not isinstance(value, list):
-        raise MalformedInput(f"{what}: expected an array, got {type(value).__name__}")
-    return value
-
-
-def _as_int(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedInput(f"{what}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_str(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedInput(f"{what}: expected a string, got {value!r}")
-    return value
 
 
 def scalar_to_json(value: GaussianRational) -> dict:
@@ -70,14 +57,6 @@ def scalar_to_json(value: GaussianRational) -> dict:
 
 def scalar_from_json(data: object) -> GaussianRational:
     return GaussianRational.from_json(data)
-
-
-def _vector_to_json(vector: Sequence[GaussianRational]) -> list:
-    return [scalar_to_json(x) for x in vector]
-
-
-def _vector_from_json(data: object, what: str) -> List[GaussianRational]:
-    return [scalar_from_json(x) for x in _as_list(data, what)]
 
 
 def root_system_to_json(system: RootSystem) -> dict:
@@ -256,86 +235,6 @@ def stratum_from_json(system: RootSystem, p: int, data: object) -> StratumDescri
     if declared != built.filtration.levels:
         raise MalformedInput("stratum levels disagree with the order vector")
     return built
-
-
-def germ_to_json(germ: ConnectionGerm) -> dict:
-    def orders(i: int, j: int, lo: int, hi: int) -> list:
-        return _vector_to_json([germ.coefficient(i, j, l) for l in range(lo, hi)])
-
-    depth = germ.pole_bound + 1
-    return {
-        "r": germ.r,
-        "pole_bound": germ.pole_bound,
-        "precision": germ.precision,
-        "entries": [
-            [
-                {"tail": orders(i, j, -depth, 0), "regular": orders(i, j, 0, germ.precision)}
-                for j in range(germ.r)
-            ]
-            for i in range(germ.r)
-        ],
-    }
-
-
-def germ_from_json(data: object) -> ConnectionGerm:
-    obj = _as_object(data, ("r", "pole_bound", "precision", "entries"), "connection germ")
-    r = _as_int(obj["r"], "matrix size")
-    pole_bound = _as_int(obj["pole_bound"], "pole bound")
-    precision = _as_int(obj["precision"], "precision")
-    if pole_bound < 0 or precision < 1:
-        raise MalformedInput("need pole_bound >= 0 and precision >= 1")
-    rows = _as_list(obj["entries"], "entries")
-    if len(rows) != r:
-        raise MalformedInput("entry row count differs from the matrix size")
-    entries = []
-    for row in rows:
-        cells = _as_list(row, "entry row")
-        if len(cells) != r:
-            raise MalformedInput("entry column count differs from the matrix size")
-        out_row = []
-        for cell in cells:
-            cobj = _as_object(cell, ("tail", "regular"), "germ entry")
-            tail = _vector_from_json(cobj["tail"], "tail")
-            regular = _vector_from_json(cobj["regular"], "regular part")
-            if len(tail) != pole_bound + 1:
-                raise MalformedInput("tail length must be pole_bound + 1")
-            if len(regular) != precision:
-                raise MalformedInput("regular part length must equal the precision")
-            out_row.append(tail + regular)
-        entries.append(out_row)
-    # entries[i][j] lists orders -(k+1) .. N-1 of entry (i, j); regroup them by order
-    by_order = dict(zip(range(-(pole_bound + 1), precision), zip(*(zip(*row) for row in entries))))
-    return ConnectionGerm.from_order_dict(r, pole_bound, precision, by_order)
-
-
-def gauge_to_json(g: GaugeElement) -> dict:
-    return {
-        "r": g.r,
-        "precision": g.order,
-        "entries": [[_vector_to_json(cell) for cell in row] for row in g.entries],
-    }
-
-
-def gauge_from_json(data: object) -> GaugeElement:
-    obj = _as_object(data, ("r", "precision", "entries"), "gauge element")
-    r = _as_int(obj["r"], "matrix size")
-    precision = _as_int(obj["precision"], "precision")
-    rows = _as_list(obj["entries"], "entries")
-    if len(rows) != r:
-        raise MalformedInput("entry row count differs from the matrix size")
-    entries = []
-    for row in rows:
-        cells = _as_list(row, "entry row")
-        if len(cells) != r:
-            raise MalformedInput("entry column count differs from the matrix size")
-        out_row = []
-        for cell in cells:
-            coeffs = _vector_from_json(cell, "gauge entry")
-            if len(coeffs) != precision:
-                raise MalformedInput("gauge entry length must equal the precision")
-            out_row.append(coeffs)
-        entries.append(out_row)
-    return GaugeElement(r, entries)
 
 
 def pair_to_json(pair: Tuple[IrregularType, IrregularTypeAtInfinity]) -> dict:

@@ -161,19 +161,42 @@ def enumerate_strata(system: RootSystem, p: int) -> List[StratumDescriptor]:
     count = _count_chains(levis, p)
     if count > STRATA_BUDGET:
         raise TooLarge(f"pole bound {p} gives {count} strata; budget is {STRATA_BUDGET}")
-    chains: List[List[frozenset]] = [[]]
-    for _ in range(p):
-        extended = []
-        for chain in chains:
-            for levi in levis:
-                if not chain or chain[-1] <= levi.members:
-                    extended.append(chain + [levi.members])
-        chains = extended
     out = []
-    for chain in chains:
+    for chain in _chains(levis, p):
         filtration = LeviFiltration(system, chain)
         out.append(StratumDescriptor(filtration_to_dvector(filtration), filtration))
     return out
+
+
+def _chains(levis: Sequence[LeviSubsystem], p: int) -> List[List[frozenset]]:
+    """Every chain L_1 <= .. <= L_p of Levi member sets, lexicographic in
+    Levi index position by position.
+
+    Depth first over one shared prefix, so a chain is copied once, when
+    it is complete, and not at every position it passes through.  A
+    chain that reaches a Levi no other contains (the whole system) stays
+    there, so its tail is written at once.
+    """
+    if p == 0:
+        return [[]]
+    members = [levi.members for levi in levis]
+    above = [[j for j, top in enumerate(members) if low <= top] for low in members]
+    chains: List[List[frozenset]] = []
+    prefix: List[frozenset] = []
+    # pending[d] iterates over the candidates for position d + 1
+    pending = [iter(range(len(members)))]
+    while pending:
+        j = next(pending[-1], None)
+        if j is None:
+            pending.pop()
+            if prefix:
+                prefix.pop()
+        elif len(prefix) + 1 == p or len(above[j]) == 1:
+            chains.append(prefix + [members[j]] * (p - len(prefix)))
+        else:
+            prefix.append(members[j])
+            pending.append(iter(above[j]))
+    return chains
 
 
 def stratum_dimension(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> int:

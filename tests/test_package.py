@@ -114,6 +114,53 @@ def test_version_and_usage_errors_run_only_the_errors_module(argv):
     assert ran == "['irrtypes.errors']"
 
 
+# A 2 x 2 germ of pole bound 2 and precision 2 whose leading coefficient
+# [[0, -1], [1, 0]] has eigenvalues +- i, and the gauge [[1, z], [0, 1]].
+_ZERO, _ONE, _MINUS = {"re": "0", "im": "0"}, {"re": "1", "im": "0"}, {"re": "-1", "im": "0"}
+
+
+def _germ(tails):
+    return {
+        "r": 2, "pole_bound": 2, "precision": 2,
+        "entries": [[{"tail": tail, "regular": [_ONE, _ZERO]} for tail in row] for row in tails],
+    }
+
+
+_GERM = _germ([[[_ZERO, _ZERO, _ZERO], [_MINUS, _ZERO, _ZERO]], [[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO]]])
+_GAUGE = {"r": 2, "precision": 2, "entries": [[[_ONE, _ZERO], [_ZERO, _ONE]], [[_ZERO, _ZERO], [_ONE, _ZERO]]]}
+
+
+def _run_with_document(argv, document):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from irrtypes import cli\n"
+        f"sys.stdin = io.StringIO({json.dumps(document)!r})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run({argv!r})\n"
+        "print(code, 'dataclasses' in sys.modules)\n"
+    ) + _RAN
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [(["connection", "gauge"], {"germ": _GERM, "gauge": _GAUGE}), (["connection", "diagonalize"], _GERM)],
+)
+def test_gauge_and_diagonalize_run_only_errors_scalars_and_connections(argv, document):
+    outcome, ran = _run_with_document(argv, document)
+    assert outcome == "0 False"
+    assert ran == "['irrtypes.connections', 'irrtypes.errors', 'irrtypes.scalars']"
+
+
+def test_extract_still_loads_irregular_and_serialization():
+    untwisted = _germ([[[_ONE, _ZERO, _ZERO], [_ZERO] * 3], [[_ZERO] * 3, [_MINUS, _ONE, _ZERO]]])
+    outcome, ran = _run_with_document(["connection", "extract"], untwisted)
+    assert outcome == "0 True"
+    assert "'irrtypes.irregular'" in ran and "'irrtypes.serialization'" in ran
+
+
 def test_module_run_of_the_cli_warns_nothing():
     result = _python("-W", "error", "-m", "irrtypes.cli", "version")
     assert result.returncode == 0

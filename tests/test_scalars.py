@@ -1,5 +1,7 @@
 """Exact scalar arithmetic and its textual formats."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -104,3 +106,46 @@ class TestGaussianField:
     def test_json_rejects_non_strings(self):
         with pytest.raises(MalformedInput):
             GaussianRational.from_json({"re": 1, "im": "0"})
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("field", ["re", "im"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        a = gauss(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(a, field, Fraction(5))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == gauss(1, 2)
+
+    def test_hash_is_the_hash_of_the_parts(self):
+        a = gauss(Fraction(-7, 3), Fraction(1, 2))
+        assert hash(a) == hash((a.re, a.im))
+        assert hash(G_ONE) == hash((Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("other", [1, Fraction(1), (Fraction(1), Fraction(0)), "1", None])
+    def test_comparison_with_another_type_is_not_implemented(self, other):
+        assert gauss(1).__eq__(other) is NotImplemented
+        assert (gauss(1) == other) is False
+        assert gauss(1) != other
+
+    def test_instances_have_no_dict(self):
+        assert not hasattr(gauss(1, 2), "__dict__")
+
+    def test_copy_and_pickle_round_trip(self):
+        a = gauss(Fraction(-7, 3), Fraction(1, 2))
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and type(b.re) is Fraction
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (gauss(3), "3"),
+            (gauss(Fraction(-1, 2)), "-1/2"),
+            (gauss(1, 2), "(1+2i)"),
+            (gauss(Fraction(1, 3), Fraction(-5, 7)), "(1/3-5/7i)"),
+            (G_I, "(0+1i)"),
+        ],
+    )
+    def test_repr(self, value, text):
+        assert repr(value) == text

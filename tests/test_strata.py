@@ -129,6 +129,22 @@ class TestEnumeration:
         b = [s.orders.orders for s in enumerate_strata(A2, 2)]
         assert a == b
 
+    def test_a1_long_chains_in_canonical_order(self):
+        # Levis of A1: the empty set, then both roots.  Lexicographic order
+        # lists the chain with i full levels at the end i-th, so d falls
+        # from p to 0.
+        listed = enumerate_strata(A1, 1000)
+        assert [s.orders.orders for s in listed] == [(d, d) for d in range(1000, -1, -1)]
+
+    @pytest.mark.parametrize("family,rank,p", [("D", 4, 3), ("A", 3, 4), ("G", 2, 4), ("B", 2, 6)])
+    def test_order_matches_extending_every_chain_one_position_at_a_time(self, family, rank, p):
+        system = build_root_system(family, rank)
+        flats = [levi.members for levi in enumerate_levi(system)]
+        chains = [[]]
+        for _ in range(p):
+            chains = [chain + [top] for chain in chains for top in flats if not chain or chain[-1] <= top]
+        assert [s.filtration.levels for s in enumerate_strata(system, p)] == [tuple(c) for c in chains]
+
 
 class TestDimension:
     def test_generic_stratum_full_cartan(self):
