@@ -16,11 +16,14 @@ public name such as ``irrtypes.enumerate_strata`` loads its submodule
 the same way.  On Python 3.10 and 3.11 that first load takes no lock, so
 the first touch of a submodule must not race across threads.
 
-A ``connection gauge`` or ``connection diagonalize`` request runs only
-``errors``, ``scalars`` and ``connections``: the germ and gauge codecs
-live in ``connections`` and the JSON shape checks in ``scalars``.
-``serialization`` re-exports those codecs and imports every other
-submodule.
+What each CLI request loads: ``version``, ``--help`` and usage errors
+run only ``errors``.  ``connection gauge`` and ``connection diagonalize``
+run only ``errors``, ``scalars`` and ``connections``: the germ and gauge
+codecs live in ``connections`` and the JSON shape checks in ``scalars``.
+``orbit-equal`` and ``exchange`` decode with those shape checks and load
+``symmetry`` and what it imports, but neither ``serialization`` nor
+``connections``.  Every other request loads ``serialization``, which
+re-exports the germ codecs and imports every other submodule.
 """
 
 import importlib.util as _util

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # Module objects only: each submodule runs its body on first use, so a
 # request loads only what its handler touches, and every library name is
@@ -88,7 +88,7 @@ def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
             raise MalformedInput("--family requires --rank and -p")
         system, p = _enumerable_system(ns.family, ns.rank), ns.p
     else:
-        obj = serialization._as_object(
+        obj = scalars._as_object(
             _read_document(ns), ("rootsystem", "p"), "enumeration request"
         )
         system = serialization.root_system_from_json(obj["rootsystem"])
@@ -165,20 +165,18 @@ def _cmd_stabilizer(ns: argparse.Namespace) -> object:
 
 
 def _cmd_orbit_equal(ns: argparse.Namespace) -> object:
-    obj = serialization._as_object(
+    obj = scalars._as_object(
         _read_document(ns), ("first", "second", "weights"), "orbit request"
     )
-    scalar = serialization.scalar_from_json
-    first = [
-        [scalar(x) for x in serialization._as_list(vec, "coefficient vector")]
-        for vec in serialization._as_list(obj["first"], "first")
-    ]
-    second = [
-        [scalar(x) for x in serialization._as_list(vec, "coefficient vector")]
-        for vec in serialization._as_list(obj["second"], "second")
-    ]
+    first, second = (
+        [
+            scalars._vector_from_json(vec, "coefficient vector")
+            for vec in scalars._as_list(obj[key], key)
+        ]
+        for key in ("first", "second")
+    )
     weights = []
-    for w in serialization._as_list(obj["weights"], "weights"):
+    for w in scalars._as_list(obj["weights"], "weights"):
         if not isinstance(w, int) or isinstance(w, bool):
             raise MalformedInput("weights must be integers")
         weights.append(w)
@@ -188,33 +186,28 @@ def _cmd_orbit_equal(ns: argparse.Namespace) -> object:
 def _cmd_dm_check(ns: argparse.Namespace) -> object:
     vectors = [
         serialization.order_vector_from_json(item)
-        for item in serialization._as_list(_read_document(ns), "order vectors")
+        for item in scalars._as_list(_read_document(ns), "order vectors")
     ]
     relevant, bound = symmetry.dm_check(ns.g, ns.m, vectors)
     return {"relevant": relevant, "deligne_mumford": bound}
 
 
 def _cmd_exchange(ns: argparse.Namespace) -> object:
-    obj = serialization._as_object(
+    obj = scalars._as_object(
         _read_document(ns), ("regular", "configuration"), "exchange request"
     )
-    regular = [
-        serialization.scalar_from_json(x)
-        for x in serialization._as_list(obj["regular"], "regular tuple")
-    ]
-    configuration = [
-        serialization.scalar_from_json(x)
-        for x in serialization._as_list(obj["configuration"], "configuration")
-    ]
-    out_conf, out_reg = symmetry.exchange_map(regular, configuration)
+    out_conf, out_reg = symmetry.exchange_map(
+        scalars._vector_from_json(obj["regular"], "regular tuple"),
+        scalars._vector_from_json(obj["configuration"], "configuration"),
+    )
     return {
-        "configuration": [serialization.scalar_to_json(x) for x in out_conf],
-        "regular": [serialization.scalar_to_json(x) for x in out_reg],
+        "configuration": scalars._vector_to_json(out_conf),
+        "regular": scalars._vector_to_json(out_reg),
     }
 
 
 def _cmd_sl2z_act(ns: argparse.Namespace) -> object:
-    obj = serialization._as_object(
+    obj = scalars._as_object(
         _read_document(ns), ("gamma", "tau", "type"), "modular request"
     )
     gamma = serialization.sl2z_from_json(obj["gamma"])
@@ -236,74 +229,65 @@ def _cmd_version(ns: argparse.Namespace) -> object:
     return {"version": __version__, "schema": SCHEMA_VERSION}
 
 
+Handler = Callable[[argparse.Namespace], object]
+
+_GROUP_HELP = {
+    "strata": "stratum combinatorics",
+    "connection": "formal connection germs",
+    "levi": "Levi subsystem combinatorics",
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="irrtypes", description=__doc__)
-    io_common = _Parser(add_help=False)
-    io_common.add_argument("--input", metavar="FILE", help="JSON document; - or absent reads stdin")
-    io_common.add_argument(
-        "--output", choices=("pretty", "canonical"), default="canonical"
-    )
-    out_only = _Parser(add_help=False)
-    out_only.add_argument(
-        "--output", choices=("pretty", "canonical"), default="canonical"
-    )
+    # Flag-only parents: each command shares their actions instead of
+    # building its own.
+    input_flag = _Parser(add_help=False)
+    input_flag.add_argument("--input", metavar="FILE", help="JSON document; - or absent reads stdin")
+    output_flag = _Parser(add_help=False)
+    output_flag.add_argument("--output", choices=("pretty", "canonical"), default="canonical")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    groups = {}
 
-    strata = sub.add_parser("strata", help="stratum combinatorics")
-    strata_sub = strata.add_subparsers(dest="subcommand", metavar="action")
-    enum = strata_sub.add_parser("enumerate", parents=[io_common])
+    def command(words: str, handler: Handler, reads_document: bool = True) -> _Parser:
+        """Add the command ``words`` (``"strata witness"``, ``"classify"``),
+        creating its group on first use."""
+        group, _, name = words.rpartition(" ")
+        actions = sub
+        if group:
+            if group not in groups:
+                parent = sub.add_parser(group, help=_GROUP_HELP[group])
+                groups[group] = parent.add_subparsers(dest="subcommand", metavar="action")
+            actions = groups[group]
+        flags = [input_flag, output_flag] if reads_document else [output_flag]
+        cmd = actions.add_parser(name, parents=flags)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    enum = command("strata enumerate", _cmd_strata_enumerate)
     enum.add_argument("--family", choices=tuple("ABCDG"))
     enum.add_argument("--rank", type=int)
     enum.add_argument("-p", type=int, dest="p")
-    enum.set_defaults(handler=_cmd_strata_enumerate)
-    dim = strata_sub.add_parser("dimension", parents=[io_common])
-    dim.set_defaults(handler=_cmd_strata_dimension)
-    wit = strata_sub.add_parser("witness", parents=[io_common])
-    wit.set_defaults(handler=_cmd_strata_witness)
-
-    classify = sub.add_parser("classify", parents=[io_common])
-    classify.set_defaults(handler=_cmd_classify)
-
-    admissible = sub.add_parser("admissible", parents=[io_common])
-    admissible.set_defaults(handler=_cmd_admissible)
-
-    connection = sub.add_parser("connection", help="formal connection germs")
-    connection_sub = connection.add_subparsers(dest="subcommand", metavar="action")
-    extract = connection_sub.add_parser("extract", parents=[io_common])
-    extract.set_defaults(handler=_cmd_connection_extract)
-    diag = connection_sub.add_parser("diagonalize", parents=[io_common])
-    diag.set_defaults(handler=_cmd_connection_diagonalize)
-    gau = connection_sub.add_parser("gauge", parents=[io_common])
-    gau.set_defaults(handler=_cmd_connection_gauge)
-
-    stab = sub.add_parser("stabilizer", parents=[io_common])
-    stab.add_argument("--group", choices=("g1", "g2"), required=True)
-    stab.set_defaults(handler=_cmd_stabilizer)
-
-    orbit = sub.add_parser("orbit-equal", parents=[io_common])
-    orbit.set_defaults(handler=_cmd_orbit_equal)
-
-    dm = sub.add_parser("dm-check", parents=[io_common])
+    command("strata dimension", _cmd_strata_dimension)
+    command("strata witness", _cmd_strata_witness)
+    command("classify", _cmd_classify)
+    command("admissible", _cmd_admissible)
+    command("connection extract", _cmd_connection_extract)
+    command("connection diagonalize", _cmd_connection_diagonalize)
+    command("connection gauge", _cmd_connection_gauge)
+    command("stabilizer", _cmd_stabilizer).add_argument(
+        "--group", choices=("g1", "g2"), required=True
+    )
+    command("orbit-equal", _cmd_orbit_equal)
+    dm = command("dm-check", _cmd_dm_check)
     dm.add_argument("--g", type=int, required=True, help="genus")
     dm.add_argument("--m", type=int, required=True, help="marked points")
-    dm.set_defaults(handler=_cmd_dm_check)
-
-    exchange = sub.add_parser("exchange", parents=[io_common])
-    exchange.set_defaults(handler=_cmd_exchange)
-
-    modular = sub.add_parser("sl2z-act", parents=[io_common])
-    modular.set_defaults(handler=_cmd_sl2z_act)
-
-    levi = sub.add_parser("levi", help="Levi subsystem combinatorics")
-    levi_sub = levi.add_subparsers(dest="subcommand", metavar="action")
-    levi_list = levi_sub.add_parser("list", parents=[io_common])
+    command("exchange", _cmd_exchange)
+    command("sl2z-act", _cmd_sl2z_act)
+    levi_list = command("levi list", _cmd_levi_list)
     levi_list.add_argument("--family", choices=tuple("ABCDG"))
     levi_list.add_argument("--rank", type=int)
-    levi_list.set_defaults(handler=_cmd_levi_list)
-
-    version = sub.add_parser("version", parents=[out_only])
-    version.set_defaults(handler=_cmd_version)
-
+    command("version", _cmd_version, reads_document=False)
     return parser
 
 
@@ -318,7 +302,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise MalformedInput("missing subcommand; run with --help for usage")
         payload = handler(ns)
     except IrrTypesError as err:
-        _emit({"error": type(err).__name__, "message": str(err)}, mode)
+        _emit({"error": err.code, "message": str(err)}, mode)
         return exit_code_for(err)
     _emit(payload, mode)
     return 0

@@ -32,14 +32,8 @@ raises ``TooLarge``.  The Hensel step has its own bounds on the primes it
 tries (``HENSEL_PRIME_BUDGET``) and on the precision it lifts to
 (``HENSEL_BITS_BUDGET``).
 
-The JSON codecs of germs and gauges (``germ_to_json``, ``germ_from_json``,
-``gauge_to_json``, ``gauge_from_json``) live here, on the shape checks
-of :mod:`irrtypes.scalars`; :mod:`irrtypes.serialization` re-exports
-them.  So a ``connection gauge`` or ``connection diagonalize`` request
-runs only :mod:`irrtypes.errors`, :mod:`irrtypes.scalars` and this
-module.  ``irregular``, ``rootsystems`` and ``series`` load on first use:
-by ``extract_irregular_type``, ``gl_cartan_system`` and the series-pair
-form of the ``ConnectionGerm`` constructor.
+The germ and gauge JSON codecs live here; which modules each CLI request
+loads is listed in the :mod:`irrtypes` docstring.
 """
 
 from __future__ import annotations
@@ -48,7 +42,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-# Module objects, looked up at call time (see the module docstring).
+# Module objects, looked up at call time: ``extract_irregular_type``,
+# ``gl_cartan_system`` and the series-pair germ form load them on first use.
 from . import irregular, rootsystems, series
 from .errors import (
     LeadingNotRegular,

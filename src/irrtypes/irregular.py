@@ -19,12 +19,13 @@ across the base.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import MalformedInput
 from .polynomials import MultiPoly
 from .rootsystems import LeviFiltration, RootSystem
-from .scalars import G_ZERO, GaussianRational, ScalarLike
+from .scalars import GaussianRational, ScalarLike
 from .series import LaurentTail
 
 CoefficientVector = Tuple[GaussianRational, ...]
@@ -39,11 +40,12 @@ def _coerce_vector(rank: int, vector: Sequence[ScalarLike]) -> CoefficientVector
 
 def root_pairing(root, vector: Sequence[GaussianRational]) -> GaussianRational:
     """Evaluate a rational root functional on a Gaussian coefficient vector."""
-    total = G_ZERO
+    re = im = Fraction(0)
     for a, v in zip(root, vector):
         if a:
-            total = total + v * a
-    return total
+            re += a * v.re
+            im += a * v.im
+    return GaussianRational(re, im)
 
 
 class IrregularType:

@@ -8,12 +8,7 @@ raise :class:`MalformedInput`.  Decoding then runs the normal
 constructors, so structural invariants (negation closure, span-closed
 levels, consistent precision) are re-checked on the way in.
 
-Importing this module loads every other library module.  The germ and
-gauge codecs (``germ_to_json``, ``germ_from_json``, ``gauge_to_json``,
-``gauge_from_json``) live in :mod:`irrtypes.connections` and are
-re-exported here; the shape checks (``_as_object`` and the like) live in
-:mod:`irrtypes.scalars`.  A ``connection gauge`` or ``connection
-diagonalize`` request calls them there and never loads this module.
+Which CLI requests load this module is listed in the :mod:`irrtypes` docstring.
 """
 
 from __future__ import annotations

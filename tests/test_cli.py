@@ -406,6 +406,24 @@ class TestErrorChannel:
             assert payload["error"] == "TooLarge"
             assert "Traceback" not in result.stderr
 
+    def test_every_error_reports_its_class_name(self, capsys, monkeypatch):
+        from irrtypes import cli, errors
+
+        classes = [
+            value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, errors.IrrTypesError)
+        ]
+        assert len(classes) == 18
+        for cls in classes:
+            assert cls.code == cls.__name__
+
+            def fail(ns, cls=cls):
+                raise cls("boom")
+
+            monkeypatch.setattr(cli, "_cmd_version", fail)
+            code, out = _invoke(capsys, monkeypatch, ["version"])
+            _assert_error(code, out, errors.exit_code_for(cls()), cls.__name__, "boom")
+
 
 class TestHandlers:
     """Each handler's output against the library call it wraps."""

@@ -1,5 +1,6 @@
 """The package namespace: what ``from irrtypes import *`` binds."""
 
+import ast
 import json
 import os
 import subprocess
@@ -154,6 +155,23 @@ def test_gauge_and_diagonalize_run_only_errors_scalars_and_connections(argv, doc
     assert ran == "['irrtypes.connections', 'irrtypes.errors', 'irrtypes.scalars']"
 
 
+_HALF = {"re": "1/2", "im": "0"}
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["orbit-equal"], {"first": [[_ONE]], "second": [[_MINUS]], "weights": [2]}),
+        (["exchange"], {"regular": [_HALF, {"re": "-1/2", "im": "0"}], "configuration": [_ONE]}),
+    ],
+)
+def test_orbit_equal_and_exchange_load_neither_serialization_nor_connections(argv, document):
+    outcome, ran = _run_with_document(argv, document)
+    assert outcome.split()[0] == "0"
+    assert "'irrtypes.scalars'" in ran and "'irrtypes.symmetry'" in ran
+    assert "'irrtypes.serialization'" not in ran and "'irrtypes.connections'" not in ran
+
+
 def test_extract_still_loads_irregular_and_serialization():
     untwisted = _germ([[[_ONE, _ZERO, _ZERO], [_ZERO] * 3], [[_ZERO] * 3, [_MINUS, _ONE, _ZERO]]])
     outcome, ran = _run_with_document(["connection", "extract"], untwisted)
@@ -178,3 +196,42 @@ def test_importing_the_cli_registers_every_submodule():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "12 []\n"
+
+
+_MATH_ALLOWED = {"gcd", "lcm", "isqrt", "comb"}
+
+
+def _floating_point_uses(path):
+    """Float or complex literals, the names ``float`` and ``complex``, and
+    any ``math`` import beyond the exact integer functions, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"{node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append(f"{node.lineno}: name {node.id}")
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [
+                f"{node.lineno}: from math import {a.name}"
+                for a in node.names
+                if a.name not in _MATH_ALLOWED
+            ]
+    return sorted(found)
+
+
+def test_the_library_uses_no_floating_point():
+    sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) == 13
+    found = {path.name: _floating_point_uses(path) for path in sources}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_the_floating_point_guard_sees_each_kind(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from math import gcd, sqrt\nimport math\nx = float(1) + 0.5 + 2j\n")
+    assert _floating_point_uses(path) == [
+        "1: from math import sqrt", "2: import math", "3: literal 0.5", "3: literal 2j",
+        "3: name float",
+    ]

@@ -22,7 +22,12 @@ from irrtypes import (
     enumerate_levi,
     span_closure,
 )
-from irrtypes.rootsystems import ENUMERATION_GUARD, check_enumeration_guard, root_count
+from irrtypes.rootsystems import (
+    ENUMERATION_GUARD,
+    check_enumeration_guard,
+    kernel_intersection_dim,
+    root_count,
+)
 
 
 def _oracle_rank(vectors):
@@ -225,6 +230,62 @@ class TestFlatMemo:
             subset = rng.sample(range(len(system)), rng.randint(0, len(system)))
             assert span_closure(system, subset) == _oracle_closure(system, subset)
         assert len(system._flats) <= len(levis)
+
+
+def _char_poly(system, flats):
+    """chi(t) = sum over flats F of mu(0, F) t^{dim ker F}, as coefficients
+    indexed by degree; the Moebius function runs over inclusion of the
+    member sets."""
+    flats = sorted(flats, key=len)
+    mu = {}
+    for flat in flats:
+        mu[flat] = 1 if not flat else -sum(mu[g] for g in mu if g < flat)
+    coeffs = [0] * (system.rank + 1)
+    for flat in flats:
+        coeffs[kernel_intersection_dim(system, flat)] += mu[flat]
+    return coeffs
+
+
+def _poly_with_zeros(zeros):
+    """prod (t - z), as coefficients indexed by degree."""
+    coeffs = [1]
+    for z in zeros:
+        coeffs = [shifted - z * c for shifted, c in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+class TestCharacteristicPolynomial:
+    """The flat lattice's characteristic polynomial factors over the Weyl
+    exponents (Orlik-Terao, Arrangements of Hyperplanes, ch. 6); the
+    families A and G2 live in one more dimension than their rank, which
+    adds a factor t."""
+
+    @pytest.mark.parametrize(
+        "family,rank,zeros",
+        [
+            ("A", 1, [0, 1]),
+            ("B", 2, [1, 3]),
+            ("A", 3, [0, 1, 2, 3]),
+            ("B", 3, [1, 3, 5]),
+            ("C", 3, [1, 3, 5]),
+            ("G", 2, [0, 1, 5]),
+            ("D", 4, [1, 3, 3, 5]),
+            ("A", 4, [0, 1, 2, 3, 4]),
+        ],
+    )
+    def test_matches_the_weyl_exponents(self, family, rank, zeros):
+        system = build_root_system(family, rank)
+        flats = [levi.members for levi in enumerate_levi(system)]
+        assert _char_poly(system, flats) == _poly_with_zeros(zeros)
+
+    def test_a_dropped_flat_changes_it(self):
+        system = build_root_system("A", 3)
+        flats = [levi.members for levi in enumerate_levi(system)]
+        expected = _poly_with_zeros([0, 1, 2, 3])
+        proper = [flat for flat in flats if 0 < len(flat) < len(system)]
+        assert len(proper) == 13
+        for dropped in proper:
+            assert _char_poly(system, [f for f in flats if f != dropped]) != expected
 
 
 class TestFiltration:
