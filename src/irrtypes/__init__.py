@@ -16,14 +16,17 @@ public name such as ``irrtypes.enumerate_strata`` loads its submodule
 the same way.  On Python 3.10 and 3.11 that first load takes no lock, so
 the first touch of a submodule must not race across threads.
 
-What each CLI request loads: ``version``, ``--help`` and usage errors
-run only ``errors``.  ``connection gauge`` and ``connection diagonalize``
-run only ``errors``, ``scalars`` and ``connections``: the germ and gauge
-codecs live in ``connections`` and the JSON shape checks in ``scalars``.
+What each CLI request loads: ``version``, ``--help``, usage errors and
+documents that do not parse run only ``errors``.  ``connection gauge``
+and ``connection diagonalize`` run only ``errors``, ``scalars`` and
+``connections``: the germ and gauge codecs live in ``connections`` and
+the JSON shape checks in ``scalars``.
 ``orbit-equal`` and ``exchange`` decode with those shape checks and load
 ``symmetry`` and what it imports, but neither ``serialization`` nor
 ``connections``.  Every other request loads ``serialization``, which
-re-exports the germ codecs and imports every other submodule.
+re-exports the germ codecs and imports every other submodule.  No
+request loads ``dataclasses`` or ``inspect``: the records are
+hand-written slotted classes.
 """
 
 import importlib.util as _util

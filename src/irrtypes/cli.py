@@ -79,7 +79,8 @@ def _system_from_flags_or_document(ns: argparse.Namespace) -> rootsystems.RootSy
         if ns.rank is None:
             raise MalformedInput("--family requires --rank")
         return _enumerable_system(ns.family, ns.rank)
-    return serialization.root_system_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    return serialization.root_system_from_json(doc)
 
 
 def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
@@ -88,9 +89,8 @@ def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
             raise MalformedInput("--family requires --rank and -p")
         system, p = _enumerable_system(ns.family, ns.rank), ns.p
     else:
-        obj = scalars._as_object(
-            _read_document(ns), ("rootsystem", "p"), "enumeration request"
-        )
+        doc = _read_document(ns)
+        obj = scalars._as_object(doc, ("rootsystem", "p"), "enumeration request")
         system = serialization.root_system_from_json(obj["rootsystem"])
         p = obj["p"]
         if not isinstance(p, int) or isinstance(p, bool):
@@ -99,18 +99,21 @@ def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
 
 
 def _cmd_strata_dimension(ns: argparse.Namespace) -> object:
-    vec = serialization.order_vector_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    vec = serialization.order_vector_from_json(doc)
     return {"dimension": strata.stratum_dimension(vec.rootsystem, vec.p, vec)}
 
 
 def _cmd_strata_witness(ns: argparse.Namespace) -> object:
-    vec = serialization.order_vector_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    vec = serialization.order_vector_from_json(doc)
     witness = strata.stratum_witness(vec.rootsystem, vec.p, vec)
     return serialization.irregular_type_to_json(witness)
 
 
 def _cmd_classify(ns: argparse.Namespace) -> object:
-    q = serialization.irregular_type_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    q = serialization.irregular_type_from_json(doc)
     vec = irregular.root_order_vector(q)
     filt = irregular.levi_filtration_of(vec)
     return {
@@ -121,7 +124,8 @@ def _cmd_classify(ns: argparse.Namespace) -> object:
 
 
 def _cmd_admissible(ns: argparse.Namespace) -> object:
-    fam = serialization.family_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    fam = serialization.family_from_json(doc)
     verdict, failures = irregular.is_admissible(fam)
     return {
         "admissible": verdict,
@@ -135,12 +139,14 @@ def _cmd_admissible(ns: argparse.Namespace) -> object:
 # The germ handlers reach the codecs in ``connections``, so that gauge and
 # diagonalize requests never load ``serialization`` and what it imports.
 def _cmd_connection_extract(ns: argparse.Namespace) -> object:
-    germ = connections.germ_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    germ = connections.germ_from_json(doc)
     return serialization.irregular_type_to_json(connections.extract_irregular_type(germ))
 
 
 def _cmd_connection_diagonalize(ns: argparse.Namespace) -> object:
-    germ = connections.germ_from_json(_read_document(ns))
+    doc = _read_document(ns)
+    germ = connections.germ_from_json(doc)
     gauge, moved = connections.leading_regular_diagonalize(germ)
     return {
         "gauge": connections.gauge_to_json(gauge),
@@ -149,7 +155,8 @@ def _cmd_connection_diagonalize(ns: argparse.Namespace) -> object:
 
 
 def _cmd_connection_gauge(ns: argparse.Namespace) -> object:
-    obj = scalars._as_object(_read_document(ns), ("germ", "gauge"), "gauge request")
+    doc = _read_document(ns)
+    obj = scalars._as_object(doc, ("germ", "gauge"), "gauge request")
     germ = connections.germ_from_json(obj["germ"])
     gauge = connections.gauge_from_json(obj["gauge"])
     return connections.germ_to_json(connections.gauge_transform(germ, gauge))
@@ -165,9 +172,8 @@ def _cmd_stabilizer(ns: argparse.Namespace) -> object:
 
 
 def _cmd_orbit_equal(ns: argparse.Namespace) -> object:
-    obj = scalars._as_object(
-        _read_document(ns), ("first", "second", "weights"), "orbit request"
-    )
+    doc = _read_document(ns)
+    obj = scalars._as_object(doc, ("first", "second", "weights"), "orbit request")
     first, second = (
         [
             scalars._vector_from_json(vec, "coefficient vector")
@@ -184,18 +190,18 @@ def _cmd_orbit_equal(ns: argparse.Namespace) -> object:
 
 
 def _cmd_dm_check(ns: argparse.Namespace) -> object:
+    doc = _read_document(ns)
     vectors = [
         serialization.order_vector_from_json(item)
-        for item in scalars._as_list(_read_document(ns), "order vectors")
+        for item in scalars._as_list(doc, "order vectors")
     ]
     relevant, bound = symmetry.dm_check(ns.g, ns.m, vectors)
     return {"relevant": relevant, "deligne_mumford": bound}
 
 
 def _cmd_exchange(ns: argparse.Namespace) -> object:
-    obj = scalars._as_object(
-        _read_document(ns), ("regular", "configuration"), "exchange request"
-    )
+    doc = _read_document(ns)
+    obj = scalars._as_object(doc, ("regular", "configuration"), "exchange request")
     out_conf, out_reg = symmetry.exchange_map(
         scalars._vector_from_json(obj["regular"], "regular tuple"),
         scalars._vector_from_json(obj["configuration"], "configuration"),
@@ -207,9 +213,8 @@ def _cmd_exchange(ns: argparse.Namespace) -> object:
 
 
 def _cmd_sl2z_act(ns: argparse.Namespace) -> object:
-    obj = scalars._as_object(
-        _read_document(ns), ("gamma", "tau", "type"), "modular request"
-    )
+    doc = _read_document(ns)
+    obj = scalars._as_object(doc, ("gamma", "tau", "type"), "modular request")
     gamma = serialization.sl2z_from_json(obj["gamma"])
     point = serialization.upper_half_from_json({"tau": obj["tau"]})
     q = serialization.irregular_type_from_json(obj["type"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import MalformedInput, NotAUnit, TooLarge
 
@@ -87,6 +87,47 @@ def _as_str(value: object, what: str) -> str:
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 _set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's small immutable records.
+
+    A subclass names its fields, in constructor order, in both
+    ``__slots__`` and ``__match_args__``; its ``__init__`` sets them with
+    ``object.__setattr__`` and then calls ``self.__post_init__()`` for
+    its checks.  The base gives equality only with the same class, the
+    hash of the field tuple, the ``Name(field=value, ...)`` repr, no
+    assignment or deletion, and copy and pickle through the constructor:
+    what ``@dataclass(frozen=True)`` gave, without importing
+    ``dataclasses`` and ``inspect`` into every request that loads a record.
+    """
+
+    __slots__ = ()
+    __match_args__: Tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class GaussianRational:

@@ -10,29 +10,31 @@ base ring, using the substitution z -> q(x) as the ring section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import BadModulus, MalformedInput, NotAUnit, OutOfRange, PrecisionExhausted
 from .polynomials import MultiPoly
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike
+from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _Record, _set
 
 
 def _coerce(coeffs: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
     return tuple(GaussianRational.of(c) for c in coeffs)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Power series known modulo z^order, order >= 1."""
 
-    order: int
-    coeffs: Tuple[GaussianRational, ...]
+    __slots__ = __match_args__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: Tuple[GaussianRational, ...]) -> None:
+        _set(self, "order", order)
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise MalformedInput("series order must be at least 1")
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))
+        _set(self, "coeffs", _coerce(self.coeffs))
         if len(self.coeffs) != self.order:
             raise MalformedInput("coefficient count must equal the order")
 
@@ -119,17 +121,20 @@ def series_derivative(series: TruncatedSeries) -> TruncatedSeries:
     )
 
 
-@dataclass(frozen=True)
-class LaurentTail:
+class LaurentTail(_Record):
     """Principal part with pole order bound k: coefficients c_{-k} .. c_{-1}."""
 
-    pole_order_bound: int
-    coeffs: Tuple[GaussianRational, ...]
+    __slots__ = __match_args__ = ("pole_order_bound", "coeffs")
+
+    def __init__(self, pole_order_bound: int, coeffs: Tuple[GaussianRational, ...]) -> None:
+        _set(self, "pole_order_bound", pole_order_bound)
+        _set(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.pole_order_bound < 0:
             raise MalformedInput("pole order bound must be non-negative")
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))
+        _set(self, "coeffs", _coerce(self.coeffs))
         if len(self.coeffs) != self.pole_order_bound:
             raise MalformedInput("tail must list exactly pole_order_bound coefficients")
 

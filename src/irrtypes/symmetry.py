@@ -20,7 +20,6 @@ its root orders come from :func:`~irrtypes.irregular.root_order`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +41,7 @@ from .irregular import (
     root_order_vector,
     root_pairing,
 )
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike
+from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _Record, _set
 from .strata import is_relevant
 
 
@@ -66,20 +65,23 @@ atinf_root_order = root_order
 atinf_root_order_vector = root_order_vector
 
 
-@dataclass(frozen=True)
-class AffineG1:
+class AffineG1(_Record):
     """Substitution z -> r z + s with r invertible.
 
     Composition follows map composition: applying (s1, r1) and then
     (s2, r2) equals applying (r2 s1 + s2, r2 r1).
     """
 
-    s: GaussianRational
-    r: GaussianRational
+    __slots__ = __match_args__ = ("s", "r")
+
+    def __init__(self, s: GaussianRational, r: GaussianRational) -> None:
+        _set(self, "s", s)
+        _set(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", GaussianRational.of(self.s))
-        object.__setattr__(self, "r", GaussianRational.of(self.r))
+        _set(self, "s", GaussianRational.of(self.s))
+        _set(self, "r", GaussianRational.of(self.r))
         if not self.r:
             raise MalformedInput("scaling part must be nonzero")
 
@@ -175,14 +177,17 @@ def g1_stabilizer_order(q: IrregularTypeAtInfinity) -> Union[int, InfiniteOrder]
     return gcd(*support) if len(support) > 1 else support[0]
 
 
-@dataclass(frozen=True)
-class TorusG2:
+class TorusG2(_Record):
     """Scaling z -> r z acting on a pair of types at zero and infinity."""
 
-    r: GaussianRational
+    __slots__ = __match_args__ = ("r",)
+
+    def __init__(self, r: GaussianRational) -> None:
+        _set(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", GaussianRational.of(self.r))
+        _set(self, "r", GaussianRational.of(self.r))
         if not self.r:
             raise MalformedInput("torus element must be nonzero")
 
@@ -389,26 +394,32 @@ def exchange_map_inverse(
     return phi_n_inverse(configuration), phi_n(regular)
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(_Record):
     """Gaussian-rational point with positive imaginary part."""
 
-    tau: GaussianRational
+    __slots__ = __match_args__ = ("tau",)
+
+    def __init__(self, tau: GaussianRational) -> None:
+        _set(self, "tau", tau)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", GaussianRational.of(self.tau))
+        _set(self, "tau", GaussianRational.of(self.tau))
         if self.tau.im <= 0:
             raise MalformedInput("point must have positive imaginary part")
 
 
-@dataclass(frozen=True)
-class SL2ZElement:
+class SL2ZElement(_Record):
     """Integral matrix [[a, b], [c, d]] with determinant one."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = __match_args__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for x in (self.a, self.b, self.c, self.d):

@@ -336,6 +336,25 @@ class TestErrorChannel:
         assert json.loads(result.stdout)["error"] == "TooLarge"
         assert "Traceback" not in result.stderr
 
+    def test_orthogonal_pairs_past_the_flat_budget_exit_three_promptly(self):
+        """30 pairs +-e_i in Q^30 pass the 60-root guard but have 2^30 flats.
+        The walk finds the 1,001st flat among the first closures of rank
+        three, about 2 s into each request on a 2-vCPU machine."""
+        roots = [tuple(s if j == i else 0 for j in range(30)) for i in range(30) for s in (1, -1)]
+        system = root_system_to_json(RootSystem(30, roots))
+        for argv, document in (
+            (["levi", "list"], system),
+            (["strata", "enumerate"], {"rootsystem": system, "p": 1}),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "irrtypes.cli", *argv],
+                input=json.dumps(document), capture_output=True, text=True,
+                env=_src_env(), timeout=30,
+            )
+            assert result.returncode == 3, argv
+            assert result.stdout == '{"error":"TooLarge","message":"root system has more than 1000 flats"}\n'
+            assert result.stderr == ""
+
     def test_oversized_gauge_request_exits_three_promptly(self):
         rng = random.Random(11)
         r, k, n, order = 20, 4, 8, 3

@@ -9,6 +9,7 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from test_cli_fuzz import SEEDS
 
 import irrtypes
 
@@ -131,11 +132,11 @@ _GERM = _germ([[[_ZERO, _ZERO, _ZERO], [_MINUS, _ZERO, _ZERO]], [[_ONE, _ZERO, _
 _GAUGE = {"r": 2, "precision": 2, "entries": [[[_ONE, _ZERO], [_ZERO, _ONE]], [[_ZERO, _ZERO], [_ONE, _ZERO]]]}
 
 
-def _run_with_document(argv, document):
+def _run_with_text(argv, text):
     script = (
         "import contextlib, io, json, sys\n"
         "from irrtypes import cli\n"
-        f"sys.stdin = io.StringIO({json.dumps(document)!r})\n"
+        f"sys.stdin = io.StringIO({text!r})\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.run({argv!r})\n"
         "print(code, 'dataclasses' in sys.modules)\n"
@@ -143,6 +144,10 @@ def _run_with_document(argv, document):
     result = _python("-c", script)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()
+
+
+def _run_with_document(argv, document):
+    return _run_with_text(argv, json.dumps(document))
 
 
 @pytest.mark.parametrize(
@@ -175,8 +180,36 @@ def test_orbit_equal_and_exchange_load_neither_serialization_nor_connections(arg
 def test_extract_still_loads_irregular_and_serialization():
     untwisted = _germ([[[_ONE, _ZERO, _ZERO], [_ZERO] * 3], [[_ZERO] * 3, [_MINUS, _ONE, _ZERO]]])
     outcome, ran = _run_with_document(["connection", "extract"], untwisted)
-    assert outcome == "0 True"
+    assert outcome == "0 False"
     assert "'irrtypes.irregular'" in ran and "'irrtypes.serialization'" in ran
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SEEDS], ids=" ".join)
+def test_unparsable_json_runs_only_the_errors_module(argv):
+    outcome, ran = _run_with_text(argv, '{"rank": 2,')
+    assert outcome == "1 False"
+    assert ran == "['irrtypes.errors']"
+
+
+def test_no_request_loads_dataclasses_or_inspect():
+    """One valid request of each of the 15 commands, in one interpreter."""
+    requests = SEEDS + [(["version"], None)]
+    assert len({tuple(argv[:2]) for argv, _ in requests}) == 15
+    script = (
+        "import contextlib, io, sys\n"
+        "from irrtypes import cli\n"
+        "codes = []\n"
+        f"for argv, text in {[(argv, json.dumps(doc)) for argv, doc in requests]!r}:\n"
+        "    sys.stdin = io.StringIO(text)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.run(argv))\n"
+        "print(set(codes), 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    ) + _RAN
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    outcome, ran = result.stdout.splitlines()
+    assert outcome == "{0} False False"
+    assert "'irrtypes.serialization'" in ran and "'irrtypes.connections'" in ran
 
 
 def test_module_run_of_the_cli_warns_nothing():
@@ -234,4 +267,43 @@ def test_the_floating_point_guard_sees_each_kind(tmp_path):
     assert _floating_point_uses(path) == [
         "1: from math import sqrt", "2: import math", "3: literal 0.5", "3: literal 2j",
         "3: name float",
+    ]
+
+
+_BARRED_MODULES = {"dataclasses", "inspect"}
+
+
+def _barred_imports(path):
+    """Imports of ``dataclasses`` or ``inspect``, in any form, sorted.
+    Either module costs every request that loads the importing module."""
+    def barred(module):
+        return (module or "").partition(".")[0] in _BARRED_MODULES
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names if barred(a.name)]
+        elif isinstance(node, ast.ImportFrom) and barred(node.module):
+            names = ", ".join(a.name for a in node.names)
+            found.append(f"{node.lineno}: from {node.module} import {names}")
+    return sorted(found)
+
+
+def test_the_library_imports_neither_dataclasses_nor_inspect():
+    sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) == 13
+    found = {path.name: _barred_imports(path) for path in sources}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_the_import_guard_sees_each_kind(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import dataclasses\nfrom dataclasses import dataclass, field\n"
+        "import inspect as _inspect\nfrom inspect import signature\n"
+        "def f():\n    import inspect\nimport ast, dis\n"
+    )
+    assert _barred_imports(path) == [
+        "1: import dataclasses", "2: from dataclasses import dataclass, field",
+        "3: import inspect", "4: from inspect import signature", "6: import inspect",
     ]

@@ -22,6 +22,7 @@ from irrtypes import (
     enumerate_levi,
     span_closure,
 )
+from irrtypes import rootsystems
 from irrtypes.rootsystems import (
     ENUMERATION_GUARD,
     check_enumeration_guard,
@@ -178,6 +179,14 @@ class TestEnumeration:
         check_enumeration_guard(ENUMERATION_GUARD)
         with pytest.raises(TooLarge, match="^root system has 1000001000000 roots; guard is 60$"):
             check_enumeration_guard(root_count("A", 10**6))
+
+    def test_flat_budget_refuses_only_past_it(self, monkeypatch):
+        assert rootsystems.FLAT_BUDGET == 1000
+        monkeypatch.setattr(rootsystems, "FLAT_BUDGET", 15)
+        assert len(enumerate_levi(build_root_system("A", 3))) == 15
+        monkeypatch.setattr(rootsystems, "FLAT_BUDGET", 14)
+        with pytest.raises(TooLarge, match="^root system has more than 14 flats$"):
+            enumerate_levi(build_root_system("A", 3))
 
     @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2)])
     def test_permuted_roots_ordered_like_oracle(self, family, rank):

@@ -7,7 +7,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from irrtypes import G_I, G_ONE, G_ZERO, GaussianRational, MalformedInput, NotAUnit, TooLarge, gauss
+from irrtypes import (
+    G_I,
+    G_ONE,
+    G_ZERO,
+    AffineG1,
+    GaussianRational,
+    LaurentTail,
+    MalformedInput,
+    NotAUnit,
+    SL2ZElement,
+    TooLarge,
+    TorusG2,
+    TruncatedSeries,
+    UpperHalfPoint,
+    gauss,
+)
 from irrtypes.scalars import LITERAL_DIGIT_BUDGET, rat_from_str, rat_to_str
 
 
@@ -149,3 +164,75 @@ class TestValueSemantics:
     )
     def test_repr(self, value, text):
         assert repr(value) == text
+
+
+# The library's other immutable records: a factory, another value of the
+# same class, the repr the frozen dataclasses they replaced printed, and
+# one constructor call per check they run.
+_RECORDS = [
+    pytest.param(
+        lambda: TruncatedSeries(2, (gauss(1), gauss(Fraction(1, 2), -3))),
+        TruncatedSeries(2, (gauss(1), gauss(0))),
+        "TruncatedSeries(order=2, coeffs=(1, (1/2-3i)))",
+        [lambda: TruncatedSeries(0, ()), lambda: TruncatedSeries(2, [1]),
+         lambda: TruncatedSeries(1, ["1"])],
+        id="TruncatedSeries",
+    ),
+    pytest.param(
+        lambda: LaurentTail(3, [gauss(0, 1), 0, Fraction(-2, 7)]),
+        LaurentTail(0, ()),
+        "LaurentTail(pole_order_bound=3, coeffs=((0+1i), 0, -2/7))",
+        [lambda: LaurentTail(-1, ()), lambda: LaurentTail(1, ())],
+        id="LaurentTail",
+    ),
+    pytest.param(
+        lambda: AffineG1(gauss(Fraction(1, 2), 1), gauss(0, -1)),
+        AffineG1(G_ZERO, G_ONE),
+        "AffineG1(s=(1/2+1i), r=(0-1i))",
+        [lambda: AffineG1(1, 0)],
+        id="AffineG1",
+    ),
+    pytest.param(
+        lambda: TorusG2(gauss(3, 4)),
+        TorusG2(gauss(3, -4)),
+        "TorusG2(r=(3+4i))",
+        [lambda: TorusG2(G_ZERO)],
+        id="TorusG2",
+    ),
+    pytest.param(
+        lambda: UpperHalfPoint(gauss(Fraction(-1, 3), Fraction(2, 5))),
+        UpperHalfPoint(G_I),
+        "UpperHalfPoint(tau=(-1/3+2/5i))",
+        [lambda: UpperHalfPoint(gauss(1)), lambda: UpperHalfPoint(gauss(1, -1))],
+        id="UpperHalfPoint",
+    ),
+    pytest.param(
+        lambda: SL2ZElement(2, 1, 1, 1),
+        SL2ZElement(0, -1, 1, 0),
+        "SL2ZElement(a=2, b=1, c=1, d=1)",
+        [lambda: SL2ZElement(1, 1, 1, 1), lambda: SL2ZElement(Fraction(1), 0, 0, 1)],
+        id="SL2ZElement",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, other, text, invalid", _RECORDS)
+def test_record_semantics(make, other, text, invalid):
+    a, b = make(), make()
+    fields = tuple(getattr(a, name) for name in type(a).__match_args__)
+    assert a == b and a is not b and hash(a) == hash(b) == hash(fields)
+    assert a != other and hash(other) != hash(a)
+    assert a.__eq__(fields) is NotImplemented and a != fields
+    assert type(a)(*fields) == a
+    assert repr(a) == text
+    for name in type(a).__match_args__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b and not hasattr(a, "__dict__")
+    for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(c) is type(a) and c == a and repr(c) == text
+    for build in invalid:
+        with pytest.raises(MalformedInput):
+            build()

@@ -1,6 +1,7 @@
 """Stratification by root orders: relevance, enumeration, dimension, witnesses."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,7 @@ from irrtypes import (
     sublevel_sets,
 )
 from irrtypes import strata
+from irrtypes.rootsystems import kernel_intersection_dim
 
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
 A2 = build_root_system("A", 2)
@@ -144,6 +146,99 @@ class TestEnumeration:
         for _ in range(p):
             chains = [chain + [top] for chain in chains for top in flats if not chain or chain[-1] <= top]
         assert [s.filtration.levels for s in enumerate_strata(system, p)] == [tuple(c) for c in chains]
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _point_counts(system, p):
+    """Per stratum, the number of its points over F_q as a polynomial in q
+    (rank * p + 1 coefficients by degree).
+
+    Level i of a stratum with Levi chain L_1 <= .. <= L_p is the kernel of
+    L_i minus the hyperplanes of the roots of order exactly i, that is of
+    L_{i+1} outside L_i, with L_{p+1} all roots.  Its points number
+    chi_[L_i, L_{i+1}](q) = sum over flats L_i <= H <= L_{i+1} of
+    mu(L_i, H) q^{dim ker H} (the finite-field method: Crapo-Rota 1970,
+    Athanasiadis 1996), and the stratum is the product of its levels.
+    """
+    flats = [levi.members for levi in enumerate_levi(system)]
+    dims = {flat: kernel_intersection_dim(system, flat) for flat in flats}
+    intervals = {}
+
+    def interval_poly(low, high):
+        if (low, high) not in intervals:
+            mu, coeffs = {}, [0] * (system.rank + 1)
+            for flat in flats:  # sorted by size, so every H < flat comes first
+                if low <= flat <= high:
+                    mu[flat] = 1 if flat == low else -sum(m for h, m in mu.items() if h < flat)
+                    coeffs[dims[flat]] += mu[flat]
+            intervals[low, high] = coeffs
+        return intervals[low, high]
+
+    top = frozenset(range(len(system)))
+    counts = {}
+    for s in enumerate_strata(system, p):
+        chain = s.filtration.levels + (top,)
+        poly = [1]
+        for low, high in zip(chain, chain[1:]):
+            poly = _poly_mul(poly, interval_poly(low, high))
+        counts[s.orders.orders] = poly
+    return counts
+
+
+def _pair_mod(root, vector, q):
+    return sum(r * x for r, x in zip(root, vector)) % q
+
+
+class TestPointCounts:
+    """Over F_q the strata partition (F_q^rank)^p, which pins completeness,
+    disjointness and every dimension from the flat lattice alone."""
+
+    @pytest.mark.parametrize(
+        "family,rank,p",
+        [("A", 1, 3), ("A", 2, 2), ("B", 2, 3), ("G", 2, 2), ("A", 3, 3), ("B", 3, 2)],
+    )
+    def test_strata_partition_the_whole_space(self, family, rank, p):
+        system = build_root_system(family, rank)
+        counts = _point_counts(system, p)
+        for orders, poly in counts.items():
+            degree = max(k for k, c in enumerate(poly) if c)
+            assert poly[degree] == 1
+            assert degree == stratum_dimension(system, p, orders)
+        assert [sum(column) for column in zip(*counts.values())] == [0] * (system.rank * p) + [1]
+
+    def test_a_dropped_stratum_breaks_the_sum(self):
+        system = build_root_system("A", 3)
+        polys = list(_point_counts(system, 2).values())
+        assert [sum(column) for column in zip(*polys)] == [0] * (system.rank * 2) + [1]
+        kept = polys[:5] + polys[6:]
+        assert [sum(column) for column in zip(*kept)] != [0] * (system.rank * 2) + [1]
+
+    @pytest.mark.parametrize("family,rank,p,q", [("A", 2, 2, 5), ("B", 2, 2, 5), ("G", 2, 1, 7)])
+    def test_brute_force_over_a_prime_field(self, family, rank, p, q):
+        """Every point of (F_q^rank)^p, sorted into strata by its root orders
+        mod q; q avoids the primes 2 and 3 where B2 and G2 reduce badly."""
+        system = build_root_system(family, rank)
+        roots = [[int(x) for x in root] for root in system.roots]
+        seen = {}
+        for point in product(product(range(q), repeat=system.rank), repeat=p):
+            # the order of a root: the last level it does not vanish on
+            orders = tuple(
+                max((j for j, a in enumerate(point, 1) if _pair_mod(root, a, q)), default=0)
+                for root in roots
+            )
+            seen[orders] = seen.get(orders, 0) + 1
+        expected = {
+            orders: sum(c * q**k for k, c in enumerate(poly))
+            for orders, poly in _point_counts(system, p).items()
+        }
+        assert seen == expected
 
 
 class TestDimension:
