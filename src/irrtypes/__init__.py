@@ -119,7 +119,7 @@ def _register_lazily(name: str):
 # module is in ``sys.modules`` before it runs.  The order is the order of
 # first import, each submodule after those it imports.
 for _name in (
-    "errors", "scalars", "polynomials", "series", "linalg", "rootsystems", "irregular",
+    "errors", "scalars", "polynomials", "series", "rootsystems", "irregular",
     "strata", "connections", "symmetry", "serialization",
 ):
     globals()[_name] = _register_lazily(_name)

@@ -68,9 +68,12 @@ def _emit(payload: object, mode: str) -> None:
 
 
 def _enumerable_system(family: str, rank: int) -> rootsystems.RootSystem:
-    """The --family/--rank system, refused by its closed-form root count
-    before it is built when enumerating its flats would be refused."""
+    """The --family/--rank system, refused by its closed-form root and flat
+    counts before it is built when enumerating its flats would be refused."""
     rootsystems.check_enumeration_guard(rootsystems.root_count(family, rank))
+    flats = rootsystems.flat_count(family, rank)
+    if flats > rootsystems.FLAT_BUDGET:
+        raise TooLarge(f"root system has {flats} flats; budget is {rootsystems.FLAT_BUDGET}")
     return rootsystems.build_root_system(family, rank)
 
 

@@ -20,6 +20,9 @@ matrices, as ``(re, im)`` pairs, over one positive integer denominator.
 ``_Lau.of`` converts a window on the way in (``to_lau``) and
 ``_Lau.matrix`` reduces each order once on the way out (``from_lau``),
 which wraps the result without re-running the constructor's checks.
+Inverses and eigenvectors are read off the library's one elimination,
+the fraction-free Gauss-Jordan ``scalars._gi_rref``, which charges this
+module's work budget.
 Eigenvalues of the leading coefficient are found without factoring:
 Hensel lifting of the roots of its characteristic polynomial, scaled to
 be monic over Z[i], at a prime p = 1 (mod 4), then an exact check of
@@ -59,11 +62,17 @@ from .errors import (
 from .scalars import (
     G_ONE,
     G_ZERO,
+    GInt,
     GaussianRational,
+    IMatrix,
     ScalarLike,
     _as_int,
     _as_list,
     _as_object,
+    _bits,
+    _gi_mul,
+    _gi_rref,
+    _gi_sub,
     _vector_from_json,
     _vector_to_json,
     gauss,
@@ -108,10 +117,6 @@ def _bare(cls, **fields):
     return obj
 
 
-GInt = Tuple[int, int]
-IMatrix = List[List[GInt]]
-
-
 def _to_gi(value: GaussianRational, den: int) -> GInt:
     return (
         value.re.numerator * (den // value.re.denominator),
@@ -131,10 +136,6 @@ def _common_denominator(values, max_bits: int) -> int:
         if den.bit_length() > max_bits:
             raise TooLarge(f"common denominator exceeds {max_bits} bits")
     return den
-
-
-def _bits(matrices) -> int:
-    return max((x.bit_length() for m in matrices for row in m for g in row for x in g), default=0)
 
 
 # Work one gauge transform, diagonalization or gauge composition may do, in
@@ -168,20 +169,6 @@ class _Work:
     def max_bits(self, r: int) -> int:
         """Operand size past which one more r x r product cannot be paid."""
         return 64 * isqrt(self.left // r**3)
-
-
-def _gi_mul(a: GInt, b: GInt) -> GInt:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_sub(a: GInt, b: GInt) -> GInt:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gi_exact_div(a: GInt, b: GInt) -> GInt:
-    """a / b for a Gaussian integer b that divides a."""
-    n = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n)
 
 
 def _gi_round_div(a: GInt, b: GInt) -> GInt:
@@ -233,42 +220,6 @@ def _gi_char_poly(a: IMatrix) -> List[GInt]:
         for i in range(n):
             m[i][i] = (m[i][i][0] + ck[0], m[i][i][1] + ck[1])
     return coeffs
-
-
-def _gi_rref(m: IMatrix, ncols: int, work: _Work) -> Tuple[IMatrix, List[int], GInt]:
-    """Fraction-free Gauss-Jordan over the Gaussian integers, on the first ``ncols`` columns.
-
-    Returns (rows, pivot columns, p).  Every division by the previous
-    pivot is exact; each pivot row ends with p at its own pivot column
-    and zero at the others, and the rows past the rank are zero.  For a
-    square m of full rank, p is its determinant up to sign.  Each pivot
-    step is charged to ``work`` before it runs: an update of one entry
-    costs about five multiplications.
-    """
-    rows = [list(row) for row in m]
-    prev: GInt = (1, 0)
-    pivots: List[int] = []
-    for col in range(ncols):
-        k = len(pivots)
-        pivot = next((i for i in range(k, len(rows)) if rows[i][col] != (0, 0)), None)
-        if pivot is None:
-            continue
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        p, row_k = rows[k][col], rows[k]
-        work.charge(5 * len(rows) * len(row_k), 2 * _bits([[row_k]]))
-        for i in range(len(rows)):
-            if i == k:
-                continue
-            f = rows[i][col]
-            rows[i] = [
-                _gi_exact_div(_gi_sub(_gi_mul(p, x), _gi_mul(f, y)), prev)
-                for x, y in zip(rows[i], row_k)
-            ]
-        prev = p
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
-    return rows, pivots, prev
 
 
 def _gi_mat_inverse(m: IMatrix, work: _Work) -> Tuple[IMatrix, int]:

@@ -10,6 +10,10 @@ standard integral realizations.
 A Levi subsystem is a subset of the form (rational span of the subset)
 intersected with the whole system; a Levi filtration is a nested chain
 of those.  These index the strata of irregular-type spaces.
+
+Spans, ranks and kernels are read off the library's one elimination,
+``scalars._gi_rref``, run on each root's positive multiple that is a
+primitive integer row: the same spans, and negation pairs kept.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import comb, gcd, lcm
 from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .errors import MalformedInput, TooLarge, Unsupported
-from .linalg import clear_denominators, in_row_span, kernel_basis, mat_rank, rref
+from .scalars import GInt, IMatrix, _gi_rref
 
 RootVector = Tuple[Fraction, ...]
 
@@ -48,7 +53,7 @@ class RootSystem:
         Optional label such as ``"A2"`` recording which builder made it.
     """
 
-    __slots__ = ("rank", "roots", "family", "_index", "_negation", "_flats")
+    __slots__ = ("rank", "roots", "family", "_index", "_negation", "_rows", "_flats")
 
     def __init__(self, rank: int, roots: Iterable[Sequence], family: str | None = None):
         if rank < 1:
@@ -77,6 +82,7 @@ class RootSystem:
         self.family = family
         self._index = index
         self._negation = tuple(negation)
+        self._rows = tuple(_integer_row(vec) for vec in vecs)
         # Span-closed member sets already produced by ``span_closure``.
         self._flats: Set[FrozenSet[int]] = set()
 
@@ -108,7 +114,34 @@ class RootSystem:
         return self._index[vec]
 
     def semisimple_rank(self) -> int:
-        return mat_rank([list(r) for r in self.roots])
+        return len(_echelon(self, range(len(self)))[1])
+
+
+def _integer_row(vec: RootVector) -> Tuple[GInt, ...]:
+    """``vec`` times a positive rational: a primitive integer row, as (x, 0) pairs."""
+    scale = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return tuple((x // g, 0) for x in ints)
+
+
+def _echelon(system: RootSystem, members: Iterable[int]) -> Tuple[IMatrix, List[int], int]:
+    """Pivot rows, pivot columns and p of the chosen roots' fraction-free RREF.
+
+    Row j has p at pivot column j and 0 at the others; entries are (x, 0) pairs.
+    """
+    rows, pivots, p = _gi_rref([system._rows[i] for i in sorted(members)], system.rank)
+    return rows[: len(pivots)], pivots, p[0]
+
+
+def _in_span(v: Sequence[GInt], rows: IMatrix, pivots: List[int], free: List[int], p: int) -> bool:
+    """Whether the nonzero row v lies in the span of an ``_echelon``: p v = sum_j v[pivot_j] r_j.
+
+    The pivot columns agree by construction, so only the free ones are
+    compared; a v that is zero at every pivot column is not in the span.
+    """
+    terms = [(v[b][0], r) for b, r in zip(pivots, rows) if v[b][0]]
+    return bool(terms) and all(p * v[c][0] == sum(a * r[c][0] for a, r in terms) for c in free)
 
 
 def root_count(family: str, rank: int) -> int:
@@ -131,6 +164,29 @@ def root_count(family: str, rank: int) -> int:
             raise Unsupported("family G exists only in rank 2")
         return 12
     raise Unsupported(f"unknown family {family!r}")
+
+
+def flat_count(family: str, rank: int) -> int:
+    """Number of flats ``enumerate_levi`` finds on ``build_root_system(family, rank)``.
+
+    Closed form: the Bell number B(n + 1) for A_n.  A flat of B_n or C_n
+    zeroes j coordinates and splits the rest into signed blocks, T(m) =
+    sum_k S(m, k) 2^(m - k) ways (S: Stirling numbers of the second kind),
+    so sum_j C(n, j) T(n - j); D_n has no flat with j = 1; G2 has 8.
+    Raises ``Unsupported`` where the builder does; costs O(rank^2).
+    """
+    root_count(family, rank)
+    fam = family.upper()
+    if fam == "G":
+        return 8
+    stirling = [[1]]
+    for m in range(1, rank + 2):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)])
+    if fam == "A":
+        return sum(stirling[rank + 1])
+    signed = [sum(s << (m - k) for k, s in enumerate(stirling[m])) for m in range(rank + 1)]
+    return sum(comb(rank, j) * signed[rank - j] for j in range(rank + 1) if not (fam == "D" and j == 1))
 
 
 def check_enumeration_guard(roots: int) -> None:
@@ -202,11 +258,10 @@ def span_closure(system: RootSystem, members: Iterable[int]) -> FrozenSet[int]:
             raise MalformedInput(f"root index {i} out of range")
     closed = chosen
     if chosen:
-        echelon = rref([list(system.roots[i]) for i in sorted(chosen)])
+        rows, pivots, p = _echelon(system, chosen)
+        free = [c for c in range(system.rank) if c not in pivots]
         closed = chosen | frozenset(
-            i
-            for i, root in enumerate(system.roots)
-            if i not in chosen and in_row_span(echelon, list(root))
+            i for i, v in enumerate(system._rows) if i not in chosen and _in_span(v, rows, pivots, free, p)
         )
     system._flats.add(closed)
     return closed
@@ -316,15 +371,24 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
 
 def kernel_intersection_dim(system: RootSystem, members: Iterable[int]) -> int:
     """Dimension of the joint kernel of the chosen roots inside Q^rank."""
-    chosen = sorted(set(members))
-    if not chosen:
-        return system.rank
-    return system.rank - mat_rank([list(system.roots[i]) for i in chosen])
+    return system.rank - len(_echelon(system, set(members))[1])
 
 
 def kernel_lattice_basis(system: RootSystem, members: Iterable[int]) -> List[List[Fraction]]:
-    """Primitive integer basis of the joint kernel, deterministic."""
-    chosen = sorted(set(members))
-    rows = [list(system.roots[i]) for i in chosen]
-    basis = kernel_basis(rows, system.rank, Fraction(1), Fraction(0))
-    return [clear_denominators(v) for v in basis]
+    """Primitive integer basis of the joint kernel, deterministic: for each
+    free column f, p at f and -r_j[f] at pivot column j, over its content,
+    with its first nonzero entry positive."""
+    rows, pivots, p = _echelon(system, set(members))
+    basis = []
+    for f in range(system.rank):
+        if f in pivots:
+            continue
+        v = [0] * system.rank
+        v[f] = p
+        for r, c in zip(rows, pivots):
+            v[c] = -r[f][0]
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append([Fraction(x // g) for x in v])
+    return basis

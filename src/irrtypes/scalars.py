@@ -10,6 +10,10 @@ The JSON shape checks that every decoder shares (``_as_object``,
 ``_as_list``, ``_as_int``, ``_as_str``) live here too, beside the scalar
 codec, so that the germ and gauge codecs in :mod:`irrtypes.connections`
 need nothing past this module and :mod:`irrtypes.errors`.
+
+So does the library's one elimination, ``_gi_rref``: ranks, kernels and
+spans for :mod:`irrtypes.rootsystems`, inverses and eigenvectors for
+:mod:`irrtypes.connections`.
 """
 
 from __future__ import annotations
@@ -274,3 +278,64 @@ def _vector_to_json(vector: Sequence[ScalarLike]) -> list:
 
 def _vector_from_json(data: object, what: str) -> List[GaussianRational]:
     return [GaussianRational.from_json(x) for x in _as_list(data, what)]
+
+
+# A Gaussian integer as an (re, im) pair of ints, and a dense matrix of them.
+GInt = Tuple[int, int]
+IMatrix = List[List[GInt]]
+
+
+def _bits(matrices) -> int:
+    return max((x.bit_length() for m in matrices for row in m for g in row for x in g), default=0)
+
+
+def _gi_mul(a: GInt, b: GInt) -> GInt:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gi_sub(a: GInt, b: GInt) -> GInt:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _gi_exact_div(a: GInt, b: GInt) -> GInt:
+    """a / b for a Gaussian integer b that divides a."""
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n)
+
+
+def _gi_rref(m: Sequence[Sequence[GInt]], ncols: int, work=None) -> Tuple[IMatrix, List[int], GInt]:
+    """Fraction-free Gauss-Jordan over the Gaussian integers, on the first ``ncols`` columns.
+
+    Bareiss (Math. Comp. 22, 1968).  Returns (rows, pivot columns, p).
+    Every division by the previous pivot is exact; each pivot row ends
+    with p at its own pivot column and zero at the others, and the rows
+    past the rank are zero, so the pivot rows over p are the RREF.  For a
+    square m of full rank, p is its determinant up to sign.  A given
+    ``work`` (``connections._Work``) is charged for each pivot step
+    before it runs: an update of one entry costs about five multiplications.
+    """
+    rows = [list(row) for row in m]
+    prev: GInt = (1, 0)
+    pivots: List[int] = []
+    for col in range(ncols):
+        k = len(pivots)
+        pivot = next((i for i in range(k, len(rows)) if rows[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        p, row_k = rows[k][col], rows[k]
+        if work is not None:
+            work.charge(5 * len(rows) * len(row_k), 2 * _bits([[row_k]]))
+        for i in range(len(rows)):
+            if i == k:
+                continue
+            f = rows[i][col]
+            rows[i] = [
+                _gi_exact_div(_gi_sub(_gi_mul(p, x), _gi_mul(f, y)), prev)
+                for x, y in zip(rows[i], row_k)
+            ]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots, prev

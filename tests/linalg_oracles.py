@@ -1,14 +1,86 @@
 """Plain dense matrix routines that serve the tests as oracles.
 
-The library multiplies and inverts connection matrices on Gaussian
-integers over one denominator (``irrtypes.connections``).  These
-textbook versions work on any field entries (``Fraction`` or
-``GaussianRational``) and check those results independently.
+The library runs one elimination, the fraction-free Gauss-Jordan over
+the Gaussian integers in ``irrtypes.scalars``: the root layer reads
+ranks, kernels and row spans off it, and the germ layer inverses and
+eigenvectors.  These textbook versions work on any field entries
+(``Fraction`` or ``GaussianRational``) and check those results
+independently.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from irrtypes import NotAUnit
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = m[row][col]
+        m[row] = [x / inv for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m, pivots
+
+
+def mat_rank(rows):
+    return len(rref(rows)[1])
+
+
+def in_row_span(rows, vector):
+    """Whether ``vector`` lies in the row span; ``rows`` may be an ``rref`` result."""
+    v = list(vector)
+    echelon, pivots = rows if isinstance(rows, tuple) else rref(rows)
+    for r, col in zip(echelon, pivots):
+        if v[col]:
+            factor = v[col]
+            v = [a - factor * b for a, b in zip(v, r)]
+    return not any(v)
+
+
+def kernel_basis(rows, ncols, one, zero):
+    """Basis of the right kernel, one vector per free column, deterministic."""
+    echelon, pivots = rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in zip(echelon, pivots):
+            v[pc] = -r[fc]
+        basis.append(v)
+    return basis
+
+
+def clear_denominators(vector):
+    """Scale a rational vector to primitive integer entries, sign-normalized."""
+    scale = lcm(*(f.denominator for f in vector)) if vector else 1
+    ints = [int(f * scale) for f in vector]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    lead = next((x for x in ints if x), 0)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return [Fraction(x) for x in ints]
 
 
 def mat_identity(n, one, zero):

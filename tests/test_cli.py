@@ -12,6 +12,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -279,6 +280,23 @@ class TestErrorChannel:
             assert result.returncode == 3, argv
             assert json.loads(result.stdout)["error"] == "TooLarge"
             assert "Traceback" not in result.stderr
+
+    def test_flat_lattices_past_the_budget_exit_three_promptly(self):
+        # The closed-form flat count refuses A7 (4,140 flats) and D6 (2,546)
+        # before the system is built; walking them took 4-5 s.
+        for family, rank, flats in (("A", 7, 4140), ("D", 6, 2546)):
+            for argv in (["levi", "list"], ["strata", "enumerate", "-p", "1"]):
+                start = time.perf_counter()
+                result = subprocess.run(
+                    [sys.executable, "-m", "irrtypes.cli", *argv, "--family", family, "--rank", str(rank)],
+                    capture_output=True, text=True, env=_src_env(), timeout=10,
+                )
+                assert time.perf_counter() - start < 1.0, argv
+                assert result.returncode == 3, argv
+                assert result.stdout == (
+                    f'{{"error":"TooLarge","message":"root system has {flats} flats; budget is 1000"}}\n'
+                )
+                assert result.stderr == ""
 
     def test_unsupported_family_or_rank_wins_over_the_guard(self, capsys, monkeypatch):
         for family, rank in (("G", 10**6), ("D", 1)):

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-The inverse, characteristic-polynomial and product tests check the
-test-side oracles in ``linalg_oracles`` that other tests rely on.
+These tests check the test-side oracles in ``linalg_oracles`` that other
+tests rely on: the ``Fraction`` elimination the root layer is compared
+with, and the inverse, characteristic polynomial and products the germ
+layer is compared with.
 """
 
 from fractions import Fraction
@@ -9,14 +11,18 @@ from fractions import Fraction
 import pytest
 
 from irrtypes import G_ONE, G_ZERO, NotAUnit, gauss
-from irrtypes.linalg import (
+from linalg_oracles import (
+    char_poly,
     clear_denominators,
     in_row_span,
     kernel_basis,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
     mat_rank,
+    mat_vec,
     rref,
 )
-from linalg_oracles import char_poly, mat_identity, mat_inverse, mat_mul, mat_vec
 
 
 F = Fraction

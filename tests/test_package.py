@@ -228,7 +228,7 @@ def test_importing_the_cli_registers_every_submodule():
         "print(len(names), [n for n in names if 'irrtypes.' + n not in sys.modules])\n",
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "12 []\n"
+    assert result.stdout == "11 []\n"
 
 
 _MATH_ALLOWED = {"gcd", "lcm", "isqrt", "comb"}
@@ -256,7 +256,7 @@ def _floating_point_uses(path):
 
 def test_the_library_uses_no_floating_point():
     sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
-    assert len(sources) == 13
+    assert len(sources) == 12
     found = {path.name: _floating_point_uses(path) for path in sources}
     assert {name: uses for name, uses in found.items() if uses} == {}
 
@@ -291,7 +291,7 @@ def _barred_imports(path):
 
 def test_the_library_imports_neither_dataclasses_nor_inspect():
     sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
-    assert len(sources) == 13
+    assert len(sources) == 12
     found = {path.name: _barred_imports(path) for path in sources}
     assert {name: uses for name, uses in found.items() if uses} == {}
 

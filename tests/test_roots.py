@@ -2,7 +2,10 @@
 
 The enumeration is cross-checked against a brute-force oracle that
 closes every subset of roots under rational spans using its own
-elimination code.
+elimination code, and the flat counts against their closed forms.
+Ranks, kernels and spans, which the library reads off its fraction-free
+Gaussian-integer elimination, are checked against the ``Fraction``
+oracles in ``linalg_oracles``.
 """
 
 import random
@@ -22,13 +25,17 @@ from irrtypes import (
     enumerate_levi,
     span_closure,
 )
-from irrtypes import rootsystems
+from irrtypes import G_ZERO, gauss, rootsystems
 from irrtypes.rootsystems import (
     ENUMERATION_GUARD,
     check_enumeration_guard,
+    flat_count,
     kernel_intersection_dim,
+    kernel_lattice_basis,
     root_count,
 )
+from irrtypes.scalars import _gi_rref
+from linalg_oracles import clear_denominators, in_row_span, kernel_basis, mat_rank, rref
 
 
 def _oracle_rank(vectors):
@@ -100,9 +107,11 @@ class TestRealizations:
     def test_root_count_refuses_like_the_builder(self, family, rank):
         with pytest.raises(Unsupported) as counted:
             root_count(family, rank)
+        with pytest.raises(Unsupported) as flats:
+            flat_count(family, rank)
         with pytest.raises(Unsupported) as built:
             build_root_system(family, rank)
-        assert str(counted.value) == str(built.value)
+        assert str(counted.value) == str(flats.value) == str(built.value)
 
     def test_g2_has_two_lengths(self):
         system = build_root_system("G", 2)
@@ -157,6 +166,21 @@ class TestEnumeration:
     )
     def test_counts(self, family, rank, count):
         assert len(enumerate_levi(build_root_system(family, rank))) == count
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 5)] + [("C", n) for n in range(2, 5)]
+        + [("D", n) for n in range(2, 6)] + [("G", 2)],
+    )
+    def test_closed_form_flat_count(self, family, rank):
+        # flat_count is the closed form the CLI checks before building.
+        assert flat_count(family, rank) == len(enumerate_levi(build_root_system(family, rank)))
+
+    def test_closed_form_past_the_walk(self):
+        # Bell numbers and the type-B/D Dowling-lattice counts (OEIS A000110,
+        # A039755 row sums) past what the budget lets the walk reach.
+        assert [flat_count("A", n) for n in (6, 7, 9)] == [877, 4140, 115975]
+        assert [flat_count("B", 5), flat_count("C", 5), flat_count("D", 6)] == [648, 648, 2546]
 
     @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 2), ("B", 3)])
     def test_matches_brute_force(self, family, rank):
@@ -239,6 +263,104 @@ class TestFlatMemo:
             subset = rng.sample(range(len(system)), rng.randint(0, len(system)))
             assert span_closure(system, subset) == _oracle_closure(system, subset)
         assert len(system._flats) <= len(levis)
+
+
+def _random_rows(rng, count, rank, rational):
+    """``count`` rows in Q^rank spanning at most a random number of
+    dimensions: combinations of a few random base vectors."""
+    def entry(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 5) if rational else 1)
+
+    base = [[entry(3) for _ in range(rank)] for _ in range(rng.randint(1, rank))]
+    rows = []
+    for _ in range(count):
+        coefs = [entry(2) for _ in base]
+        rows.append([sum((a * b[c] for a, b in zip(coefs, base)), Fraction(0)) for c in range(rank)])
+    return rows
+
+
+def _system_of(rows, rank):
+    """A root system holding each distinct nonzero row and its negation."""
+    roots = []
+    for row in map(tuple, rows):
+        if any(row) and row not in roots and tuple(-x for x in row) not in roots:
+            roots += [row, tuple(-x for x in row)]
+    return RootSystem(rank, roots)
+
+
+class TestOneElimination:
+    """Ranks, kernels and spans read off the fraction-free Z[i] elimination
+    agree with the ``Fraction`` Gauss-Jordan oracles."""
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_random_matrices(self, rational):
+        rng = random.Random(12 + rational)
+        for _ in range(60):
+            rank = rng.randint(1, 6)
+            system = _system_of(_random_rows(rng, rng.randint(1, 8), rank, rational), rank)
+            if not len(system):
+                continue
+            assert system.semisimple_rank() == mat_rank(system.roots)
+            for _ in range(4):
+                chosen = sorted(rng.sample(range(len(system)), rng.randint(0, len(system))))
+                rows = [system.roots[i] for i in chosen]
+                assert kernel_intersection_dim(system, chosen) == rank - mat_rank(rows)
+                basis = kernel_lattice_basis(system, chosen)
+                assert basis == [clear_denominators(v) for v in kernel_basis(rows, rank, Fraction(1), Fraction(0))]
+                for v in basis:
+                    assert all(x.denominator == 1 for x in v)
+                    assert next(x for x in v if x) > 0
+                    assert all(sum(a * b for a, b in zip(v, row)) == 0 for row in rows)
+                echelon = rref(rows)
+                expected = {i for i, root in enumerate(system.roots) if in_row_span(echelon, root)}
+                assert span_closure(system, chosen) == expected
+
+    def test_gaussian_rref_is_the_reduced_echelon_form(self):
+        # The germ layer's use: Gaussian-integer entries, pivot rows over p.
+        rng = random.Random(5)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[(rng.randint(-3, 3), rng.randint(-2, 2)) if rng.random() < 0.7 else (0, 0)
+                  for _ in range(ncols)] for _ in range(nrows)]
+            rows, pivots, p = _gi_rref(m, ncols)
+            echelon, oracle_pivots = rref([[gauss(*x) for x in row] for row in m])
+            assert pivots == oracle_pivots
+            assert [[gauss(*x) / gauss(*p) for x in row] for row in rows[: len(pivots)]] == echelon[: len(pivots)]
+            assert all(x == (0, 0) for row in rows[len(pivots):] for x in row)
+            assert all(x == G_ZERO for row in echelon[len(pivots):] for x in row)
+
+    def test_kernel_bases_on_every_flat(self):
+        # The kernel basis fixes the witness bytes of strata witness.
+        flats = 0
+        for family, rank in [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("B", 4), ("A", 5)]:
+            system = build_root_system(family, rank)
+            for levi in enumerate_levi(system):
+                rows = [system.roots[i] for i in levi.sorted_members()]
+                oracle = kernel_basis(rows, system.rank, Fraction(1), Fraction(0))
+                assert kernel_lattice_basis(system, levi.members) == [clear_denominators(v) for v in oracle]
+                assert kernel_intersection_dim(system, levi.members) == len(oracle)
+                flats += 1
+        assert flats == 462
+
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2)])
+    def test_integer_rows_are_scale_free(self, family, rank):
+        # Each negation pair scaled by its own positive rational spans the
+        # same lines, so everything read off the elimination is unchanged.
+        base = build_root_system(family, rank)
+        pairs = sorted({min(i, base.negation_index(i)) for i in range(len(base))})
+        scale = {rep: (Fraction(1, 3), Fraction(2, 5))[k % 2] for k, rep in enumerate(pairs)}
+        system = RootSystem(
+            base.rank,
+            [tuple(scale[min(i, base.negation_index(i))] * x for x in root) for i, root in enumerate(base.roots)],
+        )
+        assert system.roots != base.roots
+        assert system._rows == base._rows
+        flats = [levi.members for levi in enumerate_levi(system)]
+        assert flats == [levi.members for levi in enumerate_levi(base)]
+        assert system.semisimple_rank() == base.semisimple_rank()
+        for flat in flats:
+            assert kernel_intersection_dim(system, flat) == kernel_intersection_dim(base, flat)
+            assert kernel_lattice_basis(system, flat) == kernel_lattice_basis(base, flat)
 
 
 def _char_poly(system, flats):
