@@ -16,17 +16,13 @@ public name such as ``irrtypes.enumerate_strata`` loads its submodule
 the same way.  On Python 3.10 and 3.11 that first load takes no lock, so
 the first touch of a submodule must not race across threads.
 
-What each CLI request loads: ``version``, ``--help``, usage errors and
-documents that do not parse run only ``errors``.  ``connection gauge``
-and ``connection diagonalize`` run only ``errors``, ``scalars`` and
-``connections``: the germ and gauge codecs live in ``connections`` and
-the JSON shape checks in ``scalars``.
-``orbit-equal`` and ``exchange`` decode with those shape checks and load
-``symmetry`` and what it imports, but neither ``serialization`` nor
-``connections``.  Every other request loads ``serialization``, which
-re-exports the germ codecs and imports every other submodule.  No
-request loads ``dataclasses`` or ``inspect``: the records are
-hand-written slotted classes.
+Each type's JSON codec (``root_system_to_json``, ``germ_from_json``, ...)
+lives in the submodule that defines the type, and the shape checks they
+share live in ``scalars``.  So a CLI request loads ``errors``, the
+modules of the types it decodes or encodes, and what those modules
+import; ``version``, ``--help``, usage errors and documents that do not
+parse load only ``errors``.  No request loads ``dataclasses`` or
+``inspect``: the records are hand-written slotted classes.
 """
 
 import importlib.util as _util
@@ -120,7 +116,7 @@ def _register_lazily(name: str):
 # first import, each submodule after those it imports.
 for _name in (
     "errors", "scalars", "polynomials", "series", "rootsystems", "irregular",
-    "strata", "connections", "symmetry", "serialization",
+    "strata", "connections", "symmetry",
 ):
     globals()[_name] = _register_lazily(_name)
 del _name

@@ -24,9 +24,9 @@ from . import (
     __version__,
     connections,
     irregular,
+    polynomials,
     rootsystems,
     scalars,
-    serialization,
     strata,
     symmetry,
 )
@@ -83,7 +83,7 @@ def _system_from_flags_or_document(ns: argparse.Namespace) -> rootsystems.RootSy
             raise MalformedInput("--family requires --rank")
         return _enumerable_system(ns.family, ns.rank)
     doc = _read_document(ns)
-    return serialization.root_system_from_json(doc)
+    return rootsystems.root_system_from_json(doc)
 
 
 def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
@@ -94,29 +94,29 @@ def _cmd_strata_enumerate(ns: argparse.Namespace) -> object:
     else:
         doc = _read_document(ns)
         obj = scalars._as_object(doc, ("rootsystem", "p"), "enumeration request")
-        system = serialization.root_system_from_json(obj["rootsystem"])
+        system = rootsystems.root_system_from_json(obj["rootsystem"])
         p = obj["p"]
         if not isinstance(p, int) or isinstance(p, bool):
             raise MalformedInput("pole bound must be an integer")
-    return [serialization.stratum_to_json(s) for s in strata.enumerate_strata(system, p)]
+    return [strata.stratum_to_json(s) for s in strata.enumerate_strata(system, p)]
 
 
 def _cmd_strata_dimension(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
-    vec = serialization.order_vector_from_json(doc)
+    vec = irregular.order_vector_from_json(doc)
     return {"dimension": strata.stratum_dimension(vec.rootsystem, vec.p, vec)}
 
 
 def _cmd_strata_witness(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
-    vec = serialization.order_vector_from_json(doc)
+    vec = irregular.order_vector_from_json(doc)
     witness = strata.stratum_witness(vec.rootsystem, vec.p, vec)
-    return serialization.irregular_type_to_json(witness)
+    return irregular.irregular_type_to_json(witness)
 
 
 def _cmd_classify(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
-    q = serialization.irregular_type_from_json(doc)
+    q = irregular.irregular_type_from_json(doc)
     vec = irregular.root_order_vector(q)
     filt = irregular.levi_filtration_of(vec)
     return {
@@ -128,23 +128,21 @@ def _cmd_classify(ns: argparse.Namespace) -> object:
 
 def _cmd_admissible(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
-    fam = serialization.family_from_json(doc)
+    fam = irregular.family_from_json(doc)
     verdict, failures = irregular.is_admissible(fam)
     return {
         "admissible": verdict,
         "witnesses": [
-            {"root": index, "leading": serialization.poly_to_json(poly)}
+            {"root": index, "leading": polynomials.poly_to_json(poly)}
             for index, poly in failures
         ],
     }
 
 
-# The germ handlers reach the codecs in ``connections``, so that gauge and
-# diagonalize requests never load ``serialization`` and what it imports.
 def _cmd_connection_extract(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
     germ = connections.germ_from_json(doc)
-    return serialization.irregular_type_to_json(connections.extract_irregular_type(germ))
+    return irregular.irregular_type_to_json(connections.extract_irregular_type(germ))
 
 
 def _cmd_connection_diagonalize(ns: argparse.Namespace) -> object:
@@ -168,9 +166,9 @@ def _cmd_connection_gauge(ns: argparse.Namespace) -> object:
 def _cmd_stabilizer(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
     if ns.group == "g1":
-        order = symmetry.g1_stabilizer_order(serialization.atinf_from_json(doc))
+        order = symmetry.g1_stabilizer_order(irregular.atinf_from_json(doc))
     else:
-        order = symmetry.g2_stabilizer_order(serialization.pair_from_json(doc))
+        order = symmetry.g2_stabilizer_order(symmetry.pair_from_json(doc))
     return {"order": "infinite" if isinstance(order, symmetry.InfiniteOrder) else order}
 
 
@@ -195,7 +193,7 @@ def _cmd_orbit_equal(ns: argparse.Namespace) -> object:
 def _cmd_dm_check(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
     vectors = [
-        serialization.order_vector_from_json(item)
+        irregular.order_vector_from_json(item)
         for item in scalars._as_list(doc, "order vectors")
     ]
     relevant, bound = symmetry.dm_check(ns.g, ns.m, vectors)
@@ -218,13 +216,13 @@ def _cmd_exchange(ns: argparse.Namespace) -> object:
 def _cmd_sl2z_act(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
     obj = scalars._as_object(doc, ("gamma", "tau", "type"), "modular request")
-    gamma = serialization.sl2z_from_json(obj["gamma"])
-    point = serialization.upper_half_from_json({"tau": obj["tau"]})
-    q = serialization.irregular_type_from_json(obj["type"])
+    gamma = symmetry.sl2z_from_json(obj["gamma"])
+    point = symmetry.upper_half_from_json({"tau": obj["tau"]})
+    q = irregular.irregular_type_from_json(obj["type"])
     new_point, new_q = symmetry.sl2z_act(gamma, point, q)
     return {
-        "tau": serialization.scalar_to_json(new_point.tau),
-        "type": serialization.irregular_type_to_json(new_q),
+        "tau": new_point.tau.to_json(),
+        "type": irregular.irregular_type_to_json(new_q),
     }
 
 

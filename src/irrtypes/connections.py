@@ -34,9 +34,6 @@ before it runs, from the sizes of its operands, and an exhausted budget
 raises ``TooLarge``.  The Hensel step has its own bounds on the primes it
 tries (``HENSEL_PRIME_BUDGET``) and on the precision it lifts to
 (``HENSEL_BITS_BUDGET``).
-
-The germ and gauge JSON codecs live here; which modules each CLI request
-loads is listed in the :mod:`irrtypes` docstring.
 """
 
 from __future__ import annotations

@@ -23,9 +23,18 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import MalformedInput
-from .polynomials import MultiPoly
-from .rootsystems import LeviFiltration, RootSystem
-from .scalars import GaussianRational, ScalarLike
+from .polynomials import MultiPoly, poly_from_json, poly_to_json
+from .rootsystems import LeviFiltration, RootSystem, root_system_from_json, root_system_to_json
+from .scalars import (
+    GaussianRational,
+    ScalarLike,
+    _as_int,
+    _as_list,
+    _as_object,
+    _as_str,
+    _vector_from_json,
+    _vector_to_json,
+)
 from .series import LaurentTail
 
 CoefficientVector = Tuple[GaussianRational, ...]
@@ -272,3 +281,79 @@ def is_admissible(fam: FamilyIrregularType) -> Tuple[bool, Tuple[Tuple[int, Mult
         if not poly.is_constant:
             failures.append((i, poly))
     return (not failures, tuple(failures))
+
+
+def irregular_type_to_json(q: IrregularType) -> dict:
+    return {
+        "rootsystem": root_system_to_json(q.rootsystem),
+        "p": q.p,
+        "coefficients": [_vector_to_json(vec) for vec in q.coefficients],
+    }
+
+
+def _irregular_type_from_json(data: object, cls: type) -> IrregularType:
+    """Decode either pole convention; ``cls`` names the convention."""
+    obj = _as_object(data, ("rootsystem", "p", "coefficients"), "irregular type")
+    return cls(
+        root_system_from_json(obj["rootsystem"]),
+        _as_int(obj["p"], "pole bound"),
+        [
+            _vector_from_json(vec, "coefficient vector")
+            for vec in _as_list(obj["coefficients"], "coefficients")
+        ],
+    )
+
+
+def irregular_type_from_json(data: object) -> IrregularType:
+    return _irregular_type_from_json(data, IrregularType)
+
+
+# Both conventions share one document shape.
+atinf_to_json = irregular_type_to_json
+
+
+def atinf_from_json(data: object) -> IrregularTypeAtInfinity:
+    return _irregular_type_from_json(data, IrregularTypeAtInfinity)
+
+
+def family_to_json(fam: FamilyIrregularType) -> dict:
+    return {
+        "rootsystem": root_system_to_json(fam.rootsystem),
+        "p": fam.p,
+        "variables": list(fam.variables),
+        "coefficients": [
+            [poly_to_json(entry) for entry in vec] for vec in fam.coefficients
+        ],
+    }
+
+
+def family_from_json(data: object) -> FamilyIrregularType:
+    obj = _as_object(data, ("rootsystem", "p", "variables", "coefficients"), "family")
+    variables = tuple(_as_str(v, "variable name") for v in _as_list(obj["variables"], "variables"))
+    coefficients = [
+        [poly_from_json(entry, variables) for entry in _as_list(vec, "coefficient vector")]
+        for vec in _as_list(obj["coefficients"], "coefficients")
+    ]
+    return FamilyIrregularType(
+        root_system_from_json(obj["rootsystem"]),
+        _as_int(obj["p"], "pole bound"),
+        variables,
+        coefficients,
+    )
+
+
+def order_vector_to_json(vec: RootOrderVector) -> dict:
+    return {
+        "rootsystem": root_system_to_json(vec.rootsystem),
+        "p": vec.p,
+        "orders": list(vec.orders),
+    }
+
+
+def order_vector_from_json(data: object) -> RootOrderVector:
+    obj = _as_object(data, ("rootsystem", "p", "orders"), "order vector")
+    return RootOrderVector(
+        root_system_from_json(obj["rootsystem"]),
+        _as_int(obj["p"], "pole bound"),
+        [_as_int(d, "order") for d in _as_list(obj["orders"], "orders")],
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import MalformedInput, ShapeMismatch
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike
+from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _as_int, _as_list, _as_object
 
 Exponents = Tuple[int, ...]
 
@@ -210,3 +210,24 @@ class MultiPoly:
             body = "*".join(factors)
             parts.append(f"{coeff!r}{'*' + body if body else ''}")
         return " + ".join(parts)
+
+
+def poly_to_json(poly: MultiPoly) -> dict:
+    return {
+        "terms": [
+            {"exponents": list(exps), "coefficient": coeff.to_json()}
+            for exps, coeff in poly.sorted_terms()
+        ]
+    }
+
+
+def poly_from_json(data: object, variables: Tuple[str, ...]) -> MultiPoly:
+    obj = _as_object(data, ("terms",), "polynomial")
+    terms = {}
+    for item in _as_list(obj["terms"], "term list"):
+        term = _as_object(item, ("exponents", "coefficient"), "term")
+        exps = tuple(_as_int(e, "exponent") for e in _as_list(term["exponents"], "exponents"))
+        if exps in terms:
+            raise MalformedInput("duplicate exponent tuple in polynomial")
+        terms[exps] = GaussianRational.from_json(term["coefficient"])
+    return MultiPoly(variables, terms)

@@ -25,7 +25,17 @@ from math import comb, gcd, lcm
 from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .errors import MalformedInput, TooLarge, Unsupported
-from .scalars import GInt, IMatrix, _gi_rref
+from .scalars import (
+    GInt,
+    IMatrix,
+    _as_int,
+    _as_list,
+    _as_object,
+    _as_str,
+    _gi_rref,
+    rat_from_str,
+    rat_to_str,
+)
 
 RootVector = Tuple[Fraction, ...]
 
@@ -392,3 +402,55 @@ def kernel_lattice_basis(system: RootSystem, members: Iterable[int]) -> List[Lis
             g = -g
         basis.append([Fraction(x // g) for x in v])
     return basis
+
+
+def root_system_to_json(system: RootSystem) -> dict:
+    return {
+        "rank": system.rank,
+        "roots": [[rat_to_str(x) for x in root] for root in system.roots],
+        "family": system.family,
+    }
+
+
+def root_system_from_json(data: object) -> RootSystem:
+    obj = _as_object(data, ("rank", "roots", "family"), "root system")
+    rank = _as_int(obj["rank"], "root system rank")
+    roots = []
+    for row in _as_list(obj["roots"], "root list"):
+        roots.append(tuple(rat_from_str(_as_str(x, "root entry")) for x in _as_list(row, "root")))
+    family = obj["family"]
+    if family is not None and not isinstance(family, str):
+        raise MalformedInput("root system family must be a string or null")
+    return RootSystem(rank, roots, family=family)
+
+
+def levi_to_json(levi: LeviSubsystem) -> dict:
+    return {
+        "rootsystem": root_system_to_json(levi.system),
+        "members": list(levi.sorted_members()),
+    }
+
+
+def levi_from_json(data: object) -> LeviSubsystem:
+    obj = _as_object(data, ("rootsystem", "members"), "Levi subsystem")
+    return LeviSubsystem(
+        root_system_from_json(obj["rootsystem"]),
+        [_as_int(i, "member index") for i in _as_list(obj["members"], "members")],
+    )
+
+
+def filtration_to_json(filt: LeviFiltration) -> dict:
+    return {
+        "rootsystem": root_system_to_json(filt.system),
+        "levels": [sorted(level) for level in filt.levels],
+    }
+
+
+def filtration_from_json(data: object) -> LeviFiltration:
+    obj = _as_object(data, ("rootsystem", "levels"), "Levi filtration")
+    system = root_system_from_json(obj["rootsystem"])
+    levels = [
+        [_as_int(i, "level member") for i in _as_list(level, "level")]
+        for level in _as_list(obj["levels"], "levels")
+    ]
+    return LeviFiltration(system, levels)

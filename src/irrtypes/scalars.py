@@ -8,8 +8,14 @@ textual form are bit exact.
 
 The JSON shape checks that every decoder shares (``_as_object``,
 ``_as_list``, ``_as_int``, ``_as_str``) live here too, beside the scalar
-codec, so that the germ and gauge codecs in :mod:`irrtypes.connections`
-need nothing past this module and :mod:`irrtypes.errors`.
+and vector codecs; every other codec lives beside its type and needs
+nothing more of the JSON layer.  Encoders emit plain dicts, lists and
+strings ready for ``json.dumps``, every scalar an exact string literal,
+so round trips are bit exact.  Decoders check the whole shape: unknown
+or missing keys, wrong container types and malformed literals raise
+:class:`MalformedInput`.  Then the normal constructors run, so negation
+closure, span-closed levels and consistent precision are checked again
+on the way in.
 
 So does the library's one elimination, ``_gi_rref``: ranks, kernels and
 spans for :mod:`irrtypes.rootsystems`, inverses and eigenvectors for

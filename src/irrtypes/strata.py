@@ -15,7 +15,7 @@ from itertools import product
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .errors import NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch, TooLarge
+from .errors import MalformedInput, NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch, TooLarge
 from .irregular import IrregularType, RootOrderVector, root_order_vector, sublevel_sets
 from .rootsystems import (
     LeviFiltration,
@@ -26,6 +26,7 @@ from .rootsystems import (
     kernel_lattice_basis,
     span_closure,
 )
+from .scalars import _as_int, _as_list, _as_object
 
 WITNESS_HEIGHT_CAP = 64
 # Largest pole bound an order vector or an enumeration may carry: every
@@ -38,6 +39,11 @@ POLE_BOUND_BUDGET = 1024
 # so the budget is about 3 s there: A3 has 14,025 strata at p = 16
 # (1.3 s) and 202,581 at p = 40.
 STRATA_BUDGET = 20_000
+# Largest p x rank^2 a witness may cost: each of the p levels builds a
+# kernel basis of up to rank vectors of rank entries, and the witness
+# lists p vectors of rank entries.  B3 at p = 1024 costs 9,216; a root
+# system of rank 1,000 at p = 1 (10^6, 1.5 s on a 2-vCPU machine) is refused.
+WITNESS_BUDGET = 1 << 16
 
 
 def _check_pole_bound(p: int) -> None:
@@ -245,9 +251,14 @@ def stratum_witness(system: RootSystem, p: int, orders: Sequence[int] | RootOrde
     Level by level: pick A_i in the joint kernel of the roots of order
     below i while avoiding the kernels of the roots of order exactly i.
     Relevance makes the search succeed; ``SearchExhausted`` is a bug
-    guard, not an expected outcome.
+    guard, not an expected outcome.  ``TooLarge`` when p x rank^2 exceeds
+    ``WITNESS_BUDGET``.
     """
     tup = _order_tuple(system, p, orders)
+    if p * system.rank**2 > WITNESS_BUDGET:
+        raise TooLarge(
+            f"witness of pole bound {p} in rank {system.rank} exceeds the budget of {WITNESS_BUDGET}"
+        )
     if not is_relevant(system, p, tup):
         raise NotRelevant("order vector does not label a stratum")
     vectors = []
@@ -270,3 +281,27 @@ def closure_leq(first: RootOrderVector, second: RootOrderVector) -> bool:
     if first.rootsystem != second.rootsystem or first.p != second.p:
         raise ShapeMismatch("order vectors belong to different data")
     return all(a <= b for a, b in zip(first.orders, second.orders))
+
+
+def stratum_to_json(stratum: StratumDescriptor) -> dict:
+    """Light schema: the order list plus levels as root-index lists.
+
+    The root system is context; readers must supply it.
+    """
+    return {
+        "d": list(stratum.orders.orders),
+        "levels": [sorted(level) for level in stratum.filtration.levels],
+    }
+
+
+def stratum_from_json(system: RootSystem, p: int, data: object) -> StratumDescriptor:
+    obj = _as_object(data, ("d", "levels"), "stratum")
+    orders = [_as_int(d, "order") for d in _as_list(obj["d"], "order list")]
+    built = StratumDescriptor.from_orders(system, p, orders)
+    declared = tuple(
+        frozenset(_as_int(i, "level member") for i in _as_list(level, "level"))
+        for level in _as_list(obj["levels"], "levels")
+    )
+    if declared != built.filtration.levels:
+        raise MalformedInput("stratum levels disagree with the order vector")
+    return built

@@ -37,11 +37,25 @@ from .irregular import (
     IrregularType,
     IrregularTypeAtInfinity,
     RootOrderVector,
+    atinf_from_json,
+    atinf_to_json,
+    irregular_type_from_json,
+    irregular_type_to_json,
     root_order,
     root_order_vector,
     root_pairing,
 )
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _Record, _set
+from .scalars import (
+    G_ONE,
+    G_ZERO,
+    GaussianRational,
+    ScalarLike,
+    _as_int,
+    _as_list,
+    _as_object,
+    _Record,
+    _set,
+)
 from .strata import is_relevant
 
 
@@ -96,13 +110,47 @@ class AffineG1(_Record):
 
 IDENTITY_G1 = AffineG1(G_ZERO, G_ONE)
 
+# Work one substitution may do, charged by the germ layer's rule
+# (``connections._Work.charge``): an operation on operands totalling b bits
+# costs (1 + b/64)^2.  A1 at p = 100 with one-digit coefficients costs
+# about 10^8 (3 s on a 2-vCPU machine); p = 150, or p = 20 with 200-digit
+# coefficients, is refused.
+G1_WORK_BUDGET = 2 * 10**8
+
+
+def _bit_size(x: GaussianRational) -> int:
+    parts = (x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator)
+    return max(n.bit_length() for n in parts)
+
+
+def _check_g1_work(g: AffineG1, q: IrregularTypeAtInfinity) -> None:
+    """Refuse ``g1_act(g, q)`` before it runs when it would exceed ``G1_WORK_BUDGET``.
+
+    Each nonzero A_j gives j terms (j, i).  A term raises r and s to powers
+    (about 2 log2 j products) and adds one product into each coordinate;
+    its operands have at most j (bits(r) + bits(s) + 1) + bits(A_j) bits,
+    the binomial included.
+    """
+    support = q.support()
+    if not support:
+        return
+    top = support[-1]
+    operations = sum(support) * (q.rootsystem.rank + 2 * top.bit_length())
+    bits = top * (_bit_size(g.r) + _bit_size(g.s) + 1)
+    bits += max(_bit_size(x) for j in support for x in q.coefficient(j))
+    words = 1 + bits // 64
+    if operations * words * words > G1_WORK_BUDGET:
+        raise TooLarge(f"affine substitution work exceeds the budget of {G1_WORK_BUDGET}")
+
 
 def g1_act(g: AffineG1, q: IrregularTypeAtInfinity) -> IrregularTypeAtInfinity:
     """Substitute z -> r z + s and drop the degree-zero term.
 
     Precomposition makes this a right action: acting by g then h equals
-    acting by the composite map g after h.
+    acting by the composite map g after h.  ``TooLarge`` when the
+    expansion would exceed ``G1_WORK_BUDGET``.
     """
+    _check_g1_work(g, q)
     rank = q.rootsystem.rank
     new = [[G_ZERO for _ in range(rank)] for _ in range(q.p)]
     for j in range(1, q.p + 1):
@@ -453,3 +501,52 @@ def sl2z_act(
         [x / denom ** j for x in q.coefficient(j)] for j in range(1, q.p + 1)
     ]
     return UpperHalfPoint(new_tau), IrregularType(q.rootsystem, q.p, scaled)
+
+
+def pair_to_json(pair: Tuple[IrregularType, IrregularTypeAtInfinity]) -> dict:
+    at0, atinf = pair
+    return {"at0": irregular_type_to_json(at0), "atinf": atinf_to_json(atinf)}
+
+
+def pair_from_json(data: object) -> Tuple[IrregularType, IrregularTypeAtInfinity]:
+    obj = _as_object(data, ("at0", "atinf"), "type pair")
+    return irregular_type_from_json(obj["at0"]), atinf_from_json(obj["atinf"])
+
+
+def g1_to_json(g: AffineG1) -> dict:
+    return {"s": g.s.to_json(), "r": g.r.to_json()}
+
+
+def g1_from_json(data: object) -> AffineG1:
+    obj = _as_object(data, ("s", "r"), "affine substitution")
+    return AffineG1(GaussianRational.from_json(obj["s"]), GaussianRational.from_json(obj["r"]))
+
+
+def g2_to_json(g: TorusG2) -> dict:
+    return {"r": g.r.to_json()}
+
+
+def g2_from_json(data: object) -> TorusG2:
+    obj = _as_object(data, ("r",), "torus element")
+    return TorusG2(GaussianRational.from_json(obj["r"]))
+
+
+def sl2z_to_json(g: SL2ZElement) -> list:
+    return [g.a, g.b, g.c, g.d]
+
+
+def sl2z_from_json(data: object) -> SL2ZElement:
+    arr = _as_list(data, "integral matrix")
+    if len(arr) != 4:
+        raise MalformedInput("integral matrix must list four entries")
+    a, b, c, d = (_as_int(x, "matrix entry") for x in arr)
+    return SL2ZElement(a, b, c, d)
+
+
+def upper_half_to_json(point: UpperHalfPoint) -> dict:
+    return {"tau": point.tau.to_json()}
+
+
+def upper_half_from_json(data: object) -> UpperHalfPoint:
+    obj = _as_object(data, ("tau",), "upper half-plane point")
+    return UpperHalfPoint(GaussianRational.from_json(obj["tau"]))

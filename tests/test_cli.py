@@ -37,20 +37,19 @@ from irrtypes import (
     is_admissible,
     leading_regular_diagonalize,
 )
+from irrtypes import irregular, symmetry
 from irrtypes.cli import run
-from irrtypes.serialization import (
+from irrtypes.connections import gauge_to_json, germ_to_json
+from irrtypes.irregular import (
     atinf_to_json,
     family_to_json,
-    gauge_to_json,
-    germ_to_json,
     irregular_type_to_json,
     order_vector_to_json,
-    pair_to_json,
-    poly_to_json,
-    root_system_to_json,
-    scalar_to_json,
-    stratum_to_json,
 )
+from irrtypes.polynomials import poly_to_json
+from irrtypes.rootsystems import root_system_to_json
+from irrtypes.strata import stratum_to_json
+from irrtypes.symmetry import pair_to_json
 
 A1 = build_root_system("A", 1)
 A1SPAN = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
@@ -124,8 +123,8 @@ class TestGoldenOutputs:
 
     def test_orbit_equal_counterexample(self, capsys, monkeypatch):
         doc = {
-            "first": [[scalar_to_json(gauss(1))], [scalar_to_json(gauss(1))]],
-            "second": [[scalar_to_json(gauss(1))], [scalar_to_json(gauss(-1))]],
+            "first": [[gauss(1).to_json()], [gauss(1).to_json()]],
+            "second": [[gauss(1).to_json()], [gauss(-1).to_json()]],
             "weights": [2, 4],
         }
         code, out = _invoke(capsys, monkeypatch, ["orbit-equal"], doc)
@@ -134,7 +133,7 @@ class TestGoldenOutputs:
     def test_sl2z_inversion(self, capsys, monkeypatch):
         doc = {
             "gamma": [0, -1, 1, 0],
-            "tau": scalar_to_json(gauss(0, 1)),
+            "tau": gauss(0, 1).to_json(),
             "type": irregular_type_to_json(IrregularType(A1SPAN, 1, [[1]])),
         }
         code, out = _invoke(capsys, monkeypatch, ["sl2z-act"], doc)
@@ -152,8 +151,8 @@ class TestRoutingAndModes:
 
     def test_exchange(self, capsys, monkeypatch):
         doc = {
-            "regular": [scalar_to_json(gauss(1)), scalar_to_json(gauss(-3)), scalar_to_json(gauss(2))],
-            "configuration": [scalar_to_json(gauss(2)), scalar_to_json(gauss(-1))],
+            "regular": [gauss(1).to_json(), gauss(-3).to_json(), gauss(2).to_json()],
+            "configuration": [gauss(2).to_json(), gauss(-1).to_json()],
         }
         code, out = _invoke(capsys, monkeypatch, ["exchange"], doc)
         assert code == 0
@@ -443,6 +442,51 @@ class TestErrorChannel:
             assert payload["error"] == "TooLarge"
             assert "Traceback" not in result.stderr
 
+    def _assert_refused_promptly(self, argv, document):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "irrtypes.cli", *argv],
+            input=json.dumps(document), capture_output=True, text=True,
+            env=_src_env(), timeout=30,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == 3
+        assert result.stdout.count("\n") == 1
+        payload = json.loads(result.stdout)
+        assert set(payload) == {"error", "message"} and payload["error"] == "TooLarge"
+        assert result.stderr == ""
+
+    @staticmethod
+    def _translated_type(p, digits):
+        """A1 at infinity with A_j = (c + j, 0), c + j and the imaginary
+        part 1 or, for digits > 1, both of that many digits."""
+        c = int("7" * digits) if digits > 1 else 0
+        im = c + 1 if digits > 1 else 1
+        return atinf_to_json(
+            IrregularTypeAtInfinity(A1, p, [[gauss(c + j, im), 0] for j in range(1, p + 1)])
+        )
+
+    @pytest.mark.parametrize("p, digits", [(400, 1), (50, 200), (25, 4000)])
+    def test_large_g1_stabilizer_requests_exit_three_promptly(self, p, digits):
+        """The expansion of these types ran for minutes: its cost grows with
+        p^2 and with the square of the operand size."""
+        self._assert_refused_promptly(["stabilizer", "--group", "g1"], self._translated_type(p, digits))
+
+    def test_g1_budget_keeps_order_one_hundred_and_sparse_types(self):
+        q = irregular.atinf_from_json(self._translated_type(100, 1))
+        root = q.rootsystem.roots[0]
+        lead = irregular.root_pairing(root, q.coefficient(100))
+        sub = irregular.root_pairing(root, q.coefficient(99))
+        symmetry._check_g1_work(symmetry.AffineG1(-sub / (lead * 100), 1), q)
+        # Zero coefficients cost nothing: only A_1 and A_2 of 1,000 are set.
+        sparse = IrregularTypeAtInfinity(A1, 1000, [[1, 0], [1, 0]] + [[0, 0]] * 998)
+        assert symmetry.g1_stabilizer_order(sparse) == 2
+
+    def test_witness_in_a_large_rank_exits_three_promptly(self):
+        """Rank 4,000 with no roots: one kernel basis of 4,000 vectors."""
+        document = {"rootsystem": {"rank": 4000, "roots": [], "family": None}, "p": 1, "orders": []}
+        self._assert_refused_promptly(["strata", "witness"], document)
+
     def test_every_error_reports_its_class_name(self, capsys, monkeypatch):
         from irrtypes import cli, errors
 
@@ -509,7 +553,7 @@ class TestHandlers:
             _assert_error(code, out, 1, "MalformedInput", message)
 
     def test_orbit_equal_needs_integer_weights(self, capsys, monkeypatch):
-        one = scalar_to_json(gauss(1))
+        one = gauss(1).to_json()
         for weight in (1.5, "2", True, None):
             doc = {"first": [[one]], "second": [[one]], "weights": [weight]}
             code, out = _invoke(capsys, monkeypatch, ["orbit-equal"], doc)
@@ -548,7 +592,7 @@ class TestHandlers:
         payload = json.loads(out)
         assert payload["gauge"]["precision"] == 2
         lead = [[cell["tail"][0] for cell in row] for row in payload["germ"]["entries"]]
-        assert lead[0][1] == lead[1][0] == scalar_to_json(gauss(0))
+        assert lead[0][1] == lead[1][0] == gauss(0).to_json()
 
 
 class TestRuntimeDependencies:

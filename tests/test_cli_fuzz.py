@@ -31,17 +31,15 @@ from irrtypes import (
     gauss,
 )
 from irrtypes.cli import run
-from irrtypes.serialization import (
+from irrtypes.connections import gauge_to_json, germ_to_json
+from irrtypes.irregular import (
     atinf_to_json,
     family_to_json,
-    gauge_to_json,
-    germ_to_json,
     irregular_type_to_json,
     order_vector_to_json,
-    pair_to_json,
-    root_system_to_json,
-    scalar_to_json,
 )
+from irrtypes.rootsystems import root_system_to_json
+from irrtypes.symmetry import pair_to_json
 
 EXAMPLE_WALL_S = 5.0
 FUZZ = settings(
@@ -90,16 +88,16 @@ def _seeds():
         (["stabilizer", "--group", "g2"],
          pair_to_json((IrregularType(A1, 1, [[1]]), IrregularTypeAtInfinity(A1, 1, [[2]])))),
         (["orbit-equal"], {
-            "first": [[scalar_to_json(gauss(1))], [scalar_to_json(gauss(1))]],
-            "second": [[scalar_to_json(gauss(1))], [scalar_to_json(gauss(-1))]],
+            "first": [[gauss(1).to_json()], [gauss(1).to_json()]],
+            "second": [[gauss(1).to_json()], [gauss(-1).to_json()]],
             "weights": [2, 4],
         }),
         (["dm-check", "--g", "1", "--m", "1"], [order_vector_to_json(RootOrderVector(A1, 1, [0, 0]))]),
         (["exchange"], {
-            "regular": [scalar_to_json(gauss(1)), scalar_to_json(gauss(-3)), scalar_to_json(gauss(2))],
-            "configuration": [scalar_to_json(gauss(2)), scalar_to_json(gauss(-1))],
+            "regular": [gauss(1).to_json(), gauss(-3).to_json(), gauss(2).to_json()],
+            "configuration": [gauss(2).to_json(), gauss(-1).to_json()],
         }),
-        (["sl2z-act"], {"gamma": [0, -1, 1, 0], "tau": scalar_to_json(gauss(0, 1)), "type": q}),
+        (["sl2z-act"], {"gamma": [0, -1, 1, 0], "tau": gauss(0, 1).to_json(), "type": q}),
         (["levi", "list"], root_system_to_json(B2)),
     ]
 

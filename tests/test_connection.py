@@ -30,8 +30,8 @@ from irrtypes import (
     verify_framing_invariance,
 )
 from irrtypes import connections
+from irrtypes.connections import gauge_from_json, gauge_to_json, germ_from_json, germ_to_json
 from irrtypes.scalars import G_ONE
-from irrtypes.serialization import gauge_from_json, gauge_to_json, germ_from_json, germ_to_json
 from linalg_oracles import mat_inverse, mat_mul
 
 

@@ -174,14 +174,39 @@ def test_orbit_equal_and_exchange_load_neither_serialization_nor_connections(arg
     outcome, ran = _run_with_document(argv, document)
     assert outcome.split()[0] == "0"
     assert "'irrtypes.scalars'" in ran and "'irrtypes.symmetry'" in ran
-    assert "'irrtypes.serialization'" not in ran and "'irrtypes.connections'" not in ran
+    assert "'irrtypes.connections'" not in ran
 
 
-def test_extract_still_loads_irregular_and_serialization():
-    untwisted = _germ([[[_ONE, _ZERO, _ZERO], [_ZERO] * 3], [[_ZERO] * 3, [_MINUS, _ONE, _ZERO]]])
-    outcome, ran = _run_with_document(["connection", "extract"], untwisted)
+# What each seed request runs beside ``errors`` and ``scalars``: the
+# modules of the types it decodes or encodes, and what those import.
+_TYPES = ("polynomials", "series", "rootsystems", "irregular")
+_STRATA = _TYPES + ("strata",)
+_SYMMETRY = _STRATA + ("symmetry",)
+_MODULES_RUN = {
+    "strata enumerate": _STRATA,
+    "strata dimension": _STRATA,
+    "strata witness": _STRATA,
+    "classify": _STRATA,
+    "admissible": _TYPES,
+    "connection extract": ("connections",) + _TYPES,
+    "connection diagonalize": ("connections",),
+    "connection gauge": ("connections",),
+    "stabilizer --group g1": _SYMMETRY,
+    "stabilizer --group g2": _SYMMETRY,
+    "orbit-equal": _SYMMETRY,
+    "dm-check --g 1 --m 1": _SYMMETRY,
+    "exchange": _SYMMETRY,
+    "sl2z-act": _SYMMETRY,
+    "levi list": ("rootsystems",),
+}
+
+
+@pytest.mark.parametrize("argv, document", SEEDS, ids=[" ".join(argv) for argv, _ in SEEDS])
+def test_each_request_runs_exactly_the_modules_of_its_types(argv, document):
+    outcome, ran = _run_with_document(argv, document)
     assert outcome == "0 False"
-    assert "'irrtypes.irregular'" in ran and "'irrtypes.serialization'" in ran
+    modules = ("errors", "scalars") + _MODULES_RUN[" ".join(argv)]
+    assert ran == str(sorted(f"irrtypes.{name}" for name in modules))
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in SEEDS], ids=" ".join)
@@ -209,7 +234,8 @@ def test_no_request_loads_dataclasses_or_inspect():
     assert result.returncode == 0, result.stderr
     outcome, ran = result.stdout.splitlines()
     assert outcome == "{0} False False"
-    assert "'irrtypes.serialization'" in ran and "'irrtypes.connections'" in ran
+    every = ("errors", "scalars", "connections") + _SYMMETRY
+    assert ran == str(sorted(f"irrtypes.{name}" for name in every))
 
 
 def test_module_run_of_the_cli_warns_nothing():
@@ -228,7 +254,7 @@ def test_importing_the_cli_registers_every_submodule():
         "print(len(names), [n for n in names if 'irrtypes.' + n not in sys.modules])\n",
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "11 []\n"
+    assert result.stdout == "10 []\n"
 
 
 _MATH_ALLOWED = {"gcd", "lcm", "isqrt", "comb"}
@@ -256,7 +282,7 @@ def _floating_point_uses(path):
 
 def test_the_library_uses_no_floating_point():
     sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
-    assert len(sources) == 12
+    assert len(sources) == 11
     found = {path.name: _floating_point_uses(path) for path in sources}
     assert {name: uses for name, uses in found.items() if uses} == {}
 
@@ -291,7 +317,7 @@ def _barred_imports(path):
 
 def test_the_library_imports_neither_dataclasses_nor_inspect():
     sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
-    assert len(sources) == 12
+    assert len(sources) == 11
     found = {path.name: _barred_imports(path) for path in sources}
     assert {name: uses for name, uses in found.items() if uses} == {}
 

@@ -11,6 +11,7 @@ from irrtypes import (
     FamilyIrregularType,
     G_I,
     GaugeElement,
+    GaussianRational,
     IrregularType,
     IrregularTypeAtInfinity,
     LaurentTail,
@@ -28,39 +29,36 @@ from irrtypes import (
     enumerate_strata,
     gauss,
 )
-from irrtypes.serialization import (
+from irrtypes.connections import gauge_from_json, gauge_to_json, germ_from_json, germ_to_json
+from irrtypes.irregular import (
     atinf_from_json,
     atinf_to_json,
     family_from_json,
     family_to_json,
+    irregular_type_from_json,
+    irregular_type_to_json,
+    order_vector_from_json,
+    order_vector_to_json,
+)
+from irrtypes.polynomials import poly_from_json, poly_to_json
+from irrtypes.rootsystems import (
     filtration_from_json,
     filtration_to_json,
+    levi_from_json,
+    levi_to_json,
+    root_system_from_json,
+    root_system_to_json,
+)
+from irrtypes.strata import stratum_from_json, stratum_to_json
+from irrtypes.symmetry import (
     g1_from_json,
     g1_to_json,
     g2_from_json,
     g2_to_json,
-    gauge_from_json,
-    gauge_to_json,
-    germ_from_json,
-    germ_to_json,
-    irregular_type_from_json,
-    irregular_type_to_json,
-    levi_from_json,
-    levi_to_json,
-    order_vector_from_json,
-    order_vector_to_json,
     pair_from_json,
     pair_to_json,
-    poly_from_json,
-    poly_to_json,
-    root_system_from_json,
-    root_system_to_json,
-    scalar_from_json,
-    scalar_to_json,
     sl2z_from_json,
     sl2z_to_json,
-    stratum_from_json,
-    stratum_to_json,
     upper_half_from_json,
     upper_half_to_json,
 )
@@ -77,21 +75,21 @@ def _json_clean(payload):
 class TestScalarCodec:
     def test_round_trip(self):
         x = gauss(Fraction(3, 7), Fraction(-1, 2))
-        assert scalar_from_json(_json_clean(scalar_to_json(x))) == x
+        assert GaussianRational.from_json(_json_clean(GaussianRational.to_json(x))) == x
 
     def test_rejects_extra_key(self):
         with pytest.raises(MalformedInput):
-            scalar_from_json({"re": "1", "im": "0", "extra": 1})
+            GaussianRational.from_json({"re": "1", "im": "0", "extra": 1})
 
     def test_rejects_missing_key(self):
         with pytest.raises(MalformedInput):
-            scalar_from_json({"re": "1"})
+            GaussianRational.from_json({"re": "1"})
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(MalformedInput):
-            scalar_from_json({"re": "1/0", "im": "0"})
+            GaussianRational.from_json({"re": "1/0", "im": "0"})
         with pytest.raises(MalformedInput):
-            scalar_from_json({"re": 1, "im": "0"})
+            GaussianRational.from_json({"re": 1, "im": "0"})
 
 
 class TestRootSystemCodec:
@@ -123,7 +121,7 @@ class TestTypeCodecs:
 
     def test_rejects_ragged_block(self):
         data = irregular_type_to_json(IrregularType(A1, 1, [[1]]))
-        data["coefficients"] = [[scalar_to_json(gauss(1)), scalar_to_json(gauss(2))]]
+        data["coefficients"] = [[gauss(1).to_json(), gauss(2).to_json()]]
         with pytest.raises(MalformedInput):
             irregular_type_from_json(data)
 
@@ -140,8 +138,8 @@ class TestPolyAndFamily:
     def test_poly_rejects_duplicate_exponents(self):
         data = {
             "terms": [
-                {"exponents": [1], "coefficient": scalar_to_json(gauss(1))},
-                {"exponents": [1], "coefficient": scalar_to_json(gauss(2))},
+                {"exponents": [1], "coefficient": gauss(1).to_json()},
+                {"exponents": [1], "coefficient": gauss(2).to_json()},
             ]
         }
         with pytest.raises(MalformedInput):
@@ -263,4 +261,4 @@ class TestSymmetryCodecs:
 
     def test_upper_half_rejects_lower(self):
         with pytest.raises(MalformedInput):
-            upper_half_from_json({"tau": scalar_to_json(gauss(0, -1))})
+            upper_half_from_json({"tau": gauss(0, -1).to_json()})

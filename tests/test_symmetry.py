@@ -47,7 +47,7 @@ from irrtypes import (
     sl2z_act,
     weighted_orbit_equivalent,
 )
-from irrtypes.serialization import (
+from irrtypes.irregular import (
     atinf_from_json,
     atinf_to_json,
     irregular_type_from_json,
