@@ -66,6 +66,7 @@ from .scalars import (
     _as_int,
     _as_list,
     _as_object,
+    _bare,
     _bits,
     _gi_mul,
     _gi_rref,
@@ -104,14 +105,6 @@ def _coerce_matrix(matrix: Sequence[Sequence[ScalarLike]]) -> Matrix:
 def _by_order(cells: Sequence[Sequence[Sequence]]) -> Iterator[Matrix]:
     """Regroup a matrix of per-entry coefficient lists into one matrix per order."""
     return zip(*(zip(*row) for row in cells))
-
-
-def _bare(cls, **fields):
-    """An instance of ``cls`` holding ``fields``, without its constructor's checks."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        setattr(obj, name, value)
-    return obj
 
 
 def _to_gi(value: GaussianRational, den: int) -> GInt:
@@ -568,12 +561,27 @@ def is_untwisted_in_basis(germ: ConnectionGerm) -> bool:
     )
 
 
+# Most root entries, r x r(r - 1), the extracted type of an r x r germ may
+# list: it carries the whole Cartan root system of gl_r, so its output grows
+# as r^3 from an input of r^2 entries.  r = 40 (62,400 entries) takes 0.5 s
+# in-process on a 2-vCPU machine and writes 0.26 MB; r = 41 is refused, and
+# r = 60 would take 2.1 s and write 0.86 MB.
+EXTRACT_ROOT_ENTRY_BUDGET = 1 << 16
+
+
 def extract_irregular_type(germ: ConnectionGerm) -> irregular.IrregularType:
     """Diagonal principal part as an irregular type, residue discarded.
 
     Inverts d: the coefficient of z^{-(l+1)} dz on the diagonal equals
-    -l A_l, for l = 1 .. pole_bound.
+    -l A_l, for l = 1 .. pole_bound.  ``TooLarge`` when the root system
+    would list more than ``EXTRACT_ROOT_ENTRY_BUDGET`` entries.
     """
+    entries = germ.r**2 * (germ.r - 1)
+    if entries > EXTRACT_ROOT_ENTRY_BUDGET:
+        raise TooLarge(
+            f"extracting from a {germ.r} x {germ.r} germ lists {entries} root entries; "
+            f"budget is {EXTRACT_ROOT_ENTRY_BUDGET}"
+        )
     if not is_untwisted_in_basis(germ):
         raise Twisted("off-diagonal principal part below residue order")
     system = gl_cartan_system(germ.r)

@@ -22,7 +22,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import MalformedInput, TooLarge, Unsupported
 from .scalars import (
@@ -32,6 +32,7 @@ from .scalars import (
     _as_list,
     _as_object,
     _as_str,
+    _bare,
     _gi_rref,
     rat_from_str,
     rat_to_str,
@@ -63,7 +64,7 @@ class RootSystem:
         Optional label such as ``"A2"`` recording which builder made it.
     """
 
-    __slots__ = ("rank", "roots", "family", "_index", "_negation", "_rows", "_flats")
+    __slots__ = ("rank", "roots", "family", "_index", "_negation", "_rows")
 
     def __init__(self, rank: int, roots: Iterable[Sequence], family: str | None = None):
         if rank < 1:
@@ -93,8 +94,6 @@ class RootSystem:
         self._index = index
         self._negation = tuple(negation)
         self._rows = tuple(_integer_row(vec) for vec in vecs)
-        # Span-closed member sets already produced by ``span_closure``.
-        self._flats: Set[FrozenSet[int]] = set()
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -251,30 +250,18 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def span_closure(system: RootSystem, members: Iterable[int]) -> FrozenSet[int]:
-    """Indices of all roots inside the rational span of the given ones.
-
-    Every result is a flat of the system and is remembered on it, so
-    asking again for a known flat is a set lookup.  Such a set passed the
-    index check when its first closure was computed; any other input has
-    its indices checked before elimination.  Only results are stored,
-    never the sets asked about, so the memo holds at most one entry per
-    flat.
-    """
+    """Indices of all roots inside the rational span of the given ones."""
     chosen = frozenset(members)
-    if chosen in system._flats:
-        return chosen
     for i in sorted(chosen):
         if not 0 <= i < len(system):
             raise MalformedInput(f"root index {i} out of range")
-    closed = chosen
-    if chosen:
-        rows, pivots, p = _echelon(system, chosen)
-        free = [c for c in range(system.rank) if c not in pivots]
-        closed = chosen | frozenset(
-            i for i, v in enumerate(system._rows) if i not in chosen and _in_span(v, rows, pivots, free, p)
-        )
-    system._flats.add(closed)
-    return closed
+    if not chosen:
+        return chosen
+    rows, pivots, p = _echelon(system, chosen)
+    free = [c for c in range(system.rank) if c not in pivots]
+    return chosen | frozenset(
+        i for i, v in enumerate(system._rows) if i not in chosen and _in_span(v, rows, pivots, free, p)
+    )
 
 
 class LeviSubsystem:
@@ -324,7 +311,7 @@ class LeviFiltration:
         for earlier, later in zip(frozen, frozen[1:]):
             if not earlier <= later:
                 raise MalformedInput("filtration levels must be nested")
-        for level in frozen:
+        for level in dict.fromkeys(frozen):
             if span_closure(system, level) != level:
                 raise MalformedInput("every filtration level must be span-closed")
         self.system = system
@@ -356,8 +343,9 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
     closure of F + {i} is a flat covering F, and every flat covers a
     smaller one.  A root already inside a cover of F found while scanning
     F would only give that cover again, so it is skipped: each flat costs
-    one closure per cover rather than one per root outside it.  Raises
-    ``TooLarge`` on finding more than ``FLAT_BUDGET`` flats.
+    one closure per cover rather than one per root outside it.  A closure
+    is a flat, so each is wrapped as a Levi subsystem, not checked again.
+    Raises ``TooLarge`` on finding more than ``FLAT_BUDGET`` flats.
     """
     check_enumeration_guard(len(system))
     seen = {frozenset()}
@@ -376,7 +364,7 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
                 seen.add(cover)
                 frontier.append(cover)
     ordered = sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    return [LeviSubsystem(system, members) for members in ordered]
+    return [_bare(LeviSubsystem, system=system, members=members) for members in ordered]
 
 
 def kernel_intersection_dim(system: RootSystem, members: Iterable[int]) -> int:

@@ -99,6 +99,15 @@ ScalarLike = Union[int, Fraction, "GaussianRational"]
 _set = object.__setattr__
 
 
+def _bare(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, without its constructor's checks:
+    for results computed from checked parts, as outside input is checked once."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
+
+
 class _Record:
     """Base of the library's small immutable records.
 

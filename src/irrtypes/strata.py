@@ -6,6 +6,11 @@ exactly when it is symmetric under root negation and each sublevel set
 to one with nested chains of Levi subsystems of length p.  The stratum
 is a product of hyperplane-complement slices inside kernel
 intersections, which gives its dimension and an explicit witness.
+
+Outside input is checked once, by public constructors, decoders and
+``_levels``, the one relevance check; what the library computes from
+checked parts (strata from Levi chains, the sublevel sets of a relevant
+vector) is wrapped with ``scalars._bare``, not validated again.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .rootsystems import (
     kernel_lattice_basis,
     span_closure,
 )
-from .scalars import _as_int, _as_list, _as_object
+from .scalars import _as_int, _as_list, _as_object, _bare
 
 WITNESS_HEIGHT_CAP = 64
 # Largest pole bound an order vector or an enumeration may carry: every
@@ -66,36 +71,42 @@ def _order_tuple(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVe
     return tup
 
 
+def _levels(system: RootSystem, p: int, tup: Tuple[int, ...]) -> List[frozenset]:
+    """Sublevel sets of an ``_order_tuple``; ``NotRelevant`` unless it is symmetric
+    under negation and each distinct level, closed once, is span-closed."""
+    levels = sublevel_sets(system, p, tup)
+    if any(tup[system.negation_index(i)] != d for i, d in enumerate(tup)) or any(
+        span_closure(system, level) != level for level in dict.fromkeys(levels)
+    ):
+        raise NotRelevant("order vector does not label a stratum")
+    return levels
+
+
+def _orders_of(levels: Sequence[frozenset], count: int) -> Tuple[int, ...]:
+    """Per root, the number of levels that miss it."""
+    return tuple(sum(1 for level in levels if i not in level) for i in range(count))
+
+
 def is_relevant(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> bool:
     """Whether the order vector labels a non-empty stratum."""
-    tup = _order_tuple(system, p, orders)
-    for i, d in enumerate(tup):
-        if tup[system.negation_index(i)] != d:
-            return False
-    for level in sublevel_sets(system, p, tup):
-        if span_closure(system, level) != level:
-            return False
+    try:
+        _levels(system, p, _order_tuple(system, p, orders))
+    except NotRelevant:
+        return False
     return True
 
 
 def dvector_to_filtration(
     system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector
 ) -> LeviFiltration:
-    tup = _order_tuple(system, p, orders)
-    if not is_relevant(system, p, tup):
-        raise NotRelevant("order vector does not label a stratum")
-    return LeviFiltration(system, sublevel_sets(system, p, tup))
+    levels = _levels(system, p, _order_tuple(system, p, orders))
+    return _bare(LeviFiltration, system=system, levels=tuple(levels))
 
 
 def filtration_to_dvector(filtration: LeviFiltration) -> RootOrderVector:
     """Inverse of ``dvector_to_filtration``: count the missing levels."""
-    system = filtration.system
-    p = filtration.depth
-    orders = [
-        sum(1 for level in filtration.levels if i not in level)
-        for i in range(len(system))
-    ]
-    return RootOrderVector(system, p, orders)
+    orders = _orders_of(filtration.levels, len(filtration.system))
+    return _bare(RootOrderVector, rootsystem=filtration.system, p=filtration.depth, orders=orders)
 
 
 class StratumDescriptor:
@@ -116,7 +127,8 @@ class StratumDescriptor:
     @staticmethod
     def from_orders(system: RootSystem, p: int, orders: Sequence[int]) -> "StratumDescriptor":
         vec = RootOrderVector(system, p, _order_tuple(system, p, orders))
-        return StratumDescriptor(vec, dvector_to_filtration(system, p, vec))
+        filtration = dvector_to_filtration(system, p, vec)
+        return _bare(StratumDescriptor, rootsystem=system, p=p, orders=vec, filtration=filtration)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -169,8 +181,9 @@ def enumerate_strata(system: RootSystem, p: int) -> List[StratumDescriptor]:
         raise TooLarge(f"pole bound {p} gives {count} strata; budget is {STRATA_BUDGET}")
     out = []
     for chain in _chains(levis, p):
-        filtration = LeviFiltration(system, chain)
-        out.append(StratumDescriptor(filtration_to_dvector(filtration), filtration))
+        vec = _bare(RootOrderVector, rootsystem=system, p=p, orders=_orders_of(chain, len(system)))
+        filtration = _bare(LeviFiltration, system=system, levels=tuple(chain))
+        out.append(_bare(StratumDescriptor, rootsystem=system, p=p, orders=vec, filtration=filtration))
     return out
 
 
@@ -207,13 +220,8 @@ def _chains(levis: Sequence[LeviSubsystem], p: int) -> List[List[frozenset]]:
 
 def stratum_dimension(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> int:
     """Sum over levels of the dimension of the level's joint kernel."""
-    tup = _order_tuple(system, p, orders)
-    if not is_relevant(system, p, tup):
-        raise NotRelevant("order vector does not label a stratum")
-    return sum(
-        kernel_intersection_dim(system, level)
-        for level in sublevel_sets(system, p, tup)
-    )
+    levels = _levels(system, p, _order_tuple(system, p, orders))
+    return sum(kernel_intersection_dim(system, level) for level in levels)
 
 
 def _search_off_hyperplanes(
@@ -259,11 +267,8 @@ def stratum_witness(system: RootSystem, p: int, orders: Sequence[int] | RootOrde
         raise TooLarge(
             f"witness of pole bound {p} in rank {system.rank} exceeds the budget of {WITNESS_BUDGET}"
         )
-    if not is_relevant(system, p, tup):
-        raise NotRelevant("order vector does not label a stratum")
     vectors = []
-    for i in range(1, p + 1):
-        below = [a for a, d in enumerate(tup) if d < i]
+    for i, below in enumerate(_levels(system, p, tup), 1):
         exact = [a for a, d in enumerate(tup) if d == i]
         basis = kernel_lattice_basis(system, below)
         choice = _search_off_hyperplanes(

@@ -487,6 +487,23 @@ class TestErrorChannel:
         document = {"rootsystem": {"rank": 4000, "roots": [], "family": None}, "p": 1, "orders": []}
         self._assert_refused_promptly(["strata", "witness"], document)
 
+    def test_extract_at_the_first_refused_size_exits_three_promptly(self):
+        """r = 41 would list 41^2 x 40 = 67,240 root entries; r = 40 lists 62,400."""
+        diagonal = [[i + 1 if i == j else 0 for j in range(41)] for i in range(41)]
+        germ = ConnectionGerm.from_order_dict(41, 1, 1, {-2: diagonal})
+        self._assert_refused_promptly(["connection", "extract"], germ_to_json(germ))
+
+    def test_extract_budget_counts_root_entries(self, capsys, monkeypatch):
+        from irrtypes import connections
+
+        document = germ_to_json(ConnectionGerm.from_order_dict(3, 1, 1, {}))
+        monkeypatch.setattr(connections, "EXTRACT_ROOT_ENTRY_BUDGET", 18)
+        code, _ = _invoke(capsys, monkeypatch, ["connection", "extract"], document)
+        assert code == 0
+        monkeypatch.setattr(connections, "EXTRACT_ROOT_ENTRY_BUDGET", 17)
+        code, out = _invoke(capsys, monkeypatch, ["connection", "extract"], document)
+        _assert_error(code, out, 3, "TooLarge", "extracting from a 3 x 3 germ lists 18 root entries; budget is 17")
+
     def test_every_error_reports_its_class_name(self, capsys, monkeypatch):
         from irrtypes import cli, errors
 

@@ -296,6 +296,39 @@ def test_the_floating_point_guard_sees_each_kind(tmp_path):
     ]
 
 
+def _constructor_skips(path):
+    """Each use of ``object.__new__``: its line and the function around it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost owner wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return sorted(
+        (node.lineno, owner.get(id(node), "<module>"))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+
+
+def test_only_scalars_bare_skips_a_constructor():
+    """Computed results are wrapped by one helper, ``scalars._bare``."""
+    sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) == 11
+    found = {path.name: [fn for _, fn in _constructor_skips(path)] for path in sources}
+    assert {name: fns for name, fns in found.items() if fns} == {"scalars.py": ["_bare"]}
+
+
+def test_the_constructor_guard_sees_each_kind(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "new = object.__new__\n"
+        "def outer(cls):\n    def inner():\n        return object.__new__(cls)\n"
+        "    return object.__new__(cls), inner, cls.__new__\n"
+    )
+    assert _constructor_skips(path) == [(1, "<module>"), (4, "inner"), (5, "outer")]
+
+
 _BARRED_MODULES = {"dataclasses", "inspect"}
 
 

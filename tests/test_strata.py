@@ -9,6 +9,7 @@ from irrtypes import (
     IrregularType,
     MalformedInput,
     NotRelevant,
+    OutOfRange,
     RootOrderVector,
     RootSystem,
     ShapeMismatch,
@@ -32,6 +33,12 @@ from irrtypes.rootsystems import kernel_intersection_dim
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
+# On A2 at p = 1: negation maps root 0 to root 5, so this is asymmetric; and
+# a vector killing only the pair +-(e1 - e2), whose sublevel set of four
+# roots spans everything and so is not span-closed.
+ASYMMETRIC = [1, 0, 0, 0, 0, 0]
+NOT_CLOSED = [1 if root[2] == 0 else 0 for root in A2.roots]
+ORDER_CHECKS = [dvector_to_filtration, stratum_dimension, stratum_witness, StratumDescriptor.from_orders]
 
 
 class TestRelevance:
@@ -55,7 +62,22 @@ class TestRelevance:
 
     def test_asymmetric_rejected_via_vector(self):
         with pytest.raises(MalformedInput):
-            RootOrderVector(A2, 1, [1, 0, 0, 0, 0, 0])
+            RootOrderVector(A2, 1, ASYMMETRIC)
+        # The descriptor builds its order vector first, so symmetry is a malformed input.
+        with pytest.raises(MalformedInput, match="symmetric under negation"):
+            StratumDescriptor.from_orders(A2, 1, ASYMMETRIC)
+        assert is_relevant(A2, 1, ASYMMETRIC) is False
+        for check in (dvector_to_filtration, stratum_dimension, stratum_witness):
+            with pytest.raises(NotRelevant):
+                check(A2, 1, ASYMMETRIC)
+
+    @pytest.mark.parametrize("check", [is_relevant] + ORDER_CHECKS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "orders, error", [([2] * 6, OutOfRange), ([-1] * 6, OutOfRange), ([0] * 5, ShapeMismatch)]
+    )
+    def test_range_and_length_come_before_relevance(self, check, orders, error):
+        with pytest.raises(error):
+            check(A2, 1, orders)
 
     def test_sublevel_sets_shape(self):
         sets = sublevel_sets(A1, 3, [2, 2])
@@ -70,9 +92,26 @@ class TestFiltrationBijection:
             assert back == s.orders
 
     def test_irrelevant_rejected(self):
-        not_closed = [1 if root[2] == 0 else 0 for root in A2.roots]
-        with pytest.raises(NotRelevant):
-            dvector_to_filtration(A2, 1, not_closed)
+        for check in ORDER_CHECKS:
+            with pytest.raises(NotRelevant):
+                check(A2, 1, NOT_CLOSED)
+
+    def test_descriptor_from_its_own_parts(self):
+        for s in enumerate_strata(A2, 2):
+            assert StratumDescriptor(s.orders, s.filtration) == s
+
+    def test_descriptor_refuses_other_system_or_depth(self):
+        stratum = enumerate_strata(A2, 2)[3]
+        other_system = enumerate_strata(B2, 2)[3]
+        other_depth = enumerate_strata(A2, 1)[3]
+        for filtration in (other_system.filtration, other_depth.filtration):
+            with pytest.raises(ShapeMismatch, match="disagree on parent data"):
+                StratumDescriptor(stratum.orders, filtration)
+
+    def test_descriptor_refuses_an_inconsistent_pair(self):
+        first, second = enumerate_strata(A2, 2)[1:3]
+        with pytest.raises(ShapeMismatch, match="inconsistent"):
+            StratumDescriptor(first.orders, second.filtration)
 
 
 class TestEnumeration:
