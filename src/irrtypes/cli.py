@@ -118,10 +118,9 @@ def _cmd_classify(ns: argparse.Namespace) -> object:
     doc = _read_document(ns)
     q = irregular.irregular_type_from_json(doc)
     vec = irregular.root_order_vector(q)
-    filt = irregular.levi_filtration_of(vec)
     return {
         "d": list(vec.orders),
-        "levels": [sorted(level) for level in filt.levels],
+        "levels": [sorted(level) for level in irregular.sublevel_sets(q.rootsystem, q.p, vec.orders)],
         "dimension": strata.stratum_dimension(q.rootsystem, q.p, vec),
     }
 

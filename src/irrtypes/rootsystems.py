@@ -255,9 +255,11 @@ def span_closure(system: RootSystem, members: Iterable[int]) -> FrozenSet[int]:
     for i in sorted(chosen):
         if not 0 <= i < len(system):
             raise MalformedInput(f"root index {i} out of range")
-    if not chosen:
-        return chosen
-    rows, pivots, p = _echelon(system, chosen)
+    return _closure(system, chosen, *_echelon(system, chosen))
+
+
+def _closure(system: RootSystem, chosen: frozenset, rows: IMatrix, pivots: List[int], p: int) -> frozenset:
+    """``chosen`` and every other root in the span of its ``_echelon``, ``rows, pivots, p``."""
     free = [c for c in range(system.rank) if c not in pivots]
     return chosen | frozenset(
         i for i, v in enumerate(system._rows) if i not in chosen and _in_span(v, rows, pivots, free, p)
@@ -376,7 +378,11 @@ def kernel_lattice_basis(system: RootSystem, members: Iterable[int]) -> List[Lis
     """Primitive integer basis of the joint kernel, deterministic: for each
     free column f, p at f and -r_j[f] at pivot column j, over its content,
     with its first nonzero entry positive."""
-    rows, pivots, p = _echelon(system, set(members))
+    return [[Fraction(x) for x in v] for v in _kernel_basis(system, *_echelon(system, set(members)))]
+
+
+def _kernel_basis(system: RootSystem, rows: IMatrix, pivots: List[int], p: int) -> List[List[int]]:
+    """``kernel_lattice_basis`` read off an ``_echelon``, in integers."""
     basis = []
     for f in range(system.rank):
         if f in pivots:
@@ -388,7 +394,7 @@ def kernel_lattice_basis(system: RootSystem, members: Iterable[int]) -> List[Lis
         g = gcd(*v)
         if next(x for x in v if x) < 0:
             g = -g
-        basis.append([Fraction(x // g) for x in v])
+        basis.append([x // g for x in v])
     return basis
 
 

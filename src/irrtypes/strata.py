@@ -11,11 +11,15 @@ Outside input is checked once, by public constructors, decoders and
 ``_levels``, the one relevance check; what the library computes from
 checked parts (strata from Levi chains, the sublevel sets of a relevant
 vector) is wrapped with ``scalars._bare``, not validated again.
+
+A stratum's levels are eliminated in one place, ``_levels``: one
+``rootsystems._echelon`` per distinct level (at most rank + 1 of the p
+levels are distinct), which the relevance check, the dimension and the
+witness search all read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import List, Sequence, Tuple
@@ -26,29 +30,39 @@ from .rootsystems import (
     LeviFiltration,
     LeviSubsystem,
     RootSystem,
+    _closure,
+    _echelon,
+    _kernel_basis,
     enumerate_levi,
-    kernel_intersection_dim,
-    kernel_lattice_basis,
-    span_closure,
 )
-from .scalars import _as_int, _as_list, _as_object, _bare
+from .scalars import GInt, _as_int, _as_list, _as_object, _bare
 
 WITNESS_HEIGHT_CAP = 64
 # Largest pole bound an order vector or an enumeration may carry: every
-# path through ``_order_tuple`` builds p sublevel sets, and the witness
-# search runs one kernel search per level.  p = 1024 on B3 takes about 1 s
-# for a dimension and 2 s for a witness on a 2-vCPU machine.
+# path through ``_order_tuple`` builds p sublevel sets, and a witness runs
+# one search per level, then pairs each root with up to p coefficients.
+# On B3 at p = 1024 a dimension takes 2 ms and a witness with every order 1
+# takes 0.25 s on a 2-vCPU machine.
 POLE_BOUND_BUDGET = 1024
 # Most strata one enumeration may list.  On the 12-24 root systems at
 # p <= 16 a stratum costs 76-140 us to build and encode (2-vCPU machine),
 # so the budget is about 3 s there: A3 has 14,025 strata at p = 16
 # (1.3 s) and 202,581 at p = 40.
 STRATA_BUDGET = 20_000
-# Largest p x rank^2 a witness may cost: each of the p levels builds a
-# kernel basis of up to rank vectors of rank entries, and the witness
-# lists p vectors of rank entries.  B3 at p = 1024 costs 9,216; a root
-# system of rank 1,000 at p = 1 (10^6, 1.5 s on a 2-vCPU machine) is refused.
+# Largest p x rank^2 a witness may cost: each of the p levels reads a
+# kernel basis of up to rank vectors of rank entries off its level's
+# echelon, and the witness lists p vectors of rank entries.  B3 at p = 1024
+# costs 9,216; a root system of rank 1,000 at p = 1 (10^6, 0.1 s on a
+# 2-vCPU machine) is refused.
 WITNESS_BUDGET = 1 << 16
+# Most units the witness searches of one request may spend, summed over
+# its levels.  A level with t kernel basis vectors and r root pairs to
+# avoid spends t (1 + r) units on each coefficient tuple it enumerates; a
+# unit takes 30-90 ns on a 2-vCPU machine.  Generic witnesses (every order
+# 1) of A5, D5, B5 and A6 (15.9 million units, 0.45 s) are answered, and
+# so is the pair +-(e1 - e2)'s in rank 13 (4.6 million, 0.43 s); A7's, at
+# any p, is refused after 0.35 s, and that pair's in rank 256 after 0.7 s.
+WITNESS_SEARCH_BUDGET = 1 << 24
 
 
 def _check_pole_bound(p: int) -> None:
@@ -71,15 +85,17 @@ def _order_tuple(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVe
     return tup
 
 
-def _levels(system: RootSystem, p: int, tup: Tuple[int, ...]) -> List[frozenset]:
-    """Sublevel sets of an ``_order_tuple``; ``NotRelevant`` unless it is symmetric
-    under negation and each distinct level, closed once, is span-closed."""
+def _levels(system: RootSystem, p: int, tup: Tuple[int, ...]) -> Tuple[List[frozenset], dict]:
+    """Sublevel sets of an ``_order_tuple`` and the ``_echelon`` of each distinct one;
+    ``NotRelevant`` unless it is symmetric under negation and each level span-closed."""
     levels = sublevel_sets(system, p, tup)
+    echelons = {}
     if any(tup[system.negation_index(i)] != d for i, d in enumerate(tup)) or any(
-        span_closure(system, level) != level for level in dict.fromkeys(levels)
+        _closure(system, level, *echelons.setdefault(level, _echelon(system, level))) != level
+        for level in dict.fromkeys(levels)
     ):
         raise NotRelevant("order vector does not label a stratum")
-    return levels
+    return levels, echelons
 
 
 def _orders_of(levels: Sequence[frozenset], count: int) -> Tuple[int, ...]:
@@ -99,7 +115,7 @@ def is_relevant(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVec
 def dvector_to_filtration(
     system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector
 ) -> LeviFiltration:
-    levels = _levels(system, p, _order_tuple(system, p, orders))
+    levels, _ = _levels(system, p, _order_tuple(system, p, orders))
     return _bare(LeviFiltration, system=system, levels=tuple(levels))
 
 
@@ -220,34 +236,35 @@ def _chains(levis: Sequence[LeviSubsystem], p: int) -> List[List[frozenset]]:
 
 def stratum_dimension(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVector) -> int:
     """Sum over levels of the dimension of the level's joint kernel."""
-    levels = _levels(system, p, _order_tuple(system, p, orders))
-    return sum(kernel_intersection_dim(system, level) for level in levels)
+    levels, echelons = _levels(system, p, _order_tuple(system, p, orders))
+    return sum(system.rank - len(echelons[level][1]) for level in levels)
 
 
 def _search_off_hyperplanes(
-    basis: List[List[Fraction]], avoid: List[Sequence[Fraction]], dim: int
-) -> List[Fraction]:
-    """Smallest-height integer combination avoiding every listed kernel.
+    basis: List[List[int]], avoid: List[Sequence[GInt]], dim: int, spent: int
+) -> Tuple[List[int], int]:
+    """Smallest-height integer combination of ``basis`` off every hyperplane
+    row . x = 0 of ``avoid``, and the search units spent, ``spent`` included.
 
-    Height is the maximum absolute coordinate of the combination; ties
-    break lexicographically over the coefficient tuples.  The zero
-    combination is admissible when there is nothing to avoid.
+    Height is the maximum absolute coefficient; ties break lexicographically
+    over the coefficient tuples.  The zero combination is admissible when
+    there is nothing to avoid.  Each row is paired with the basis once, so
+    tuples are tested in integers and only the one returned is summed.
+    Every tuple enumerated, skipped lower-height ones included, costs
+    t (1 + len(avoid)) units for t basis vectors, charged before its test.
     """
     t = len(basis)
-
-    def pairing(root, vec):
-        return sum((a * b for a, b in zip(root, vec)), Fraction(0))
-
+    pairings = [[sum(x * y for (x, _), y in zip(row, b)) for b in basis] for row in avoid]
+    cost = t * (1 + len(avoid))
     for height in range(WITNESS_HEIGHT_CAP + 1):
         for coeffs in product(range(-height, height + 1), repeat=t):
+            spent += cost
+            if spent > WITNESS_SEARCH_BUDGET:
+                raise TooLarge(f"witness search exceeds the budget of {WITNESS_SEARCH_BUDGET} units")
             if coeffs and max(abs(c) for c in coeffs) != height:
                 continue
-            vec = [Fraction(0)] * dim
-            for c, b in zip(coeffs, basis):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, b)]
-            if all(pairing(root, vec) for root in avoid):
-                return vec
+            if all(sum(c * w for c, w in zip(coeffs, ws)) for ws in pairings):
+                return [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(dim)], spent
         if t == 0:
             break
     raise SearchExhausted("no lattice vector clears the excluded hyperplanes")
@@ -257,23 +274,23 @@ def stratum_witness(system: RootSystem, p: int, orders: Sequence[int] | RootOrde
     """Deterministic irregular type lying exactly on the stratum.
 
     Level by level: pick A_i in the joint kernel of the roots of order
-    below i while avoiding the kernels of the roots of order exactly i.
+    below i while avoiding the kernels of the root pairs of order exactly i.
     Relevance makes the search succeed; ``SearchExhausted`` is a bug
     guard, not an expected outcome.  ``TooLarge`` when p x rank^2 exceeds
-    ``WITNESS_BUDGET``.
+    ``WITNESS_BUDGET``, or the searches of all levels together exceed
+    ``WITNESS_SEARCH_BUDGET``.
     """
     tup = _order_tuple(system, p, orders)
     if p * system.rank**2 > WITNESS_BUDGET:
         raise TooLarge(
             f"witness of pole bound {p} in rank {system.rank} exceeds the budget of {WITNESS_BUDGET}"
         )
-    vectors = []
-    for i, below in enumerate(_levels(system, p, tup), 1):
-        exact = [a for a, d in enumerate(tup) if d == i]
-        basis = kernel_lattice_basis(system, below)
-        choice = _search_off_hyperplanes(
-            basis, [system.roots[a] for a in exact], system.rank
-        )
+    levels, echelons = _levels(system, p, tup)
+    vectors, spent = [], 0
+    for i, below in enumerate(levels, 1):
+        avoid = [system._rows[a] for a, d in enumerate(tup) if d == i and a < system.negation_index(a)]
+        basis = _kernel_basis(system, *echelons[below])
+        choice, spent = _search_off_hyperplanes(basis, avoid, system.rank, spent)
         vectors.append(choice)
     witness = IrregularType(system, p, vectors)
     if root_order_vector(witness).orders != tup:

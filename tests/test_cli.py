@@ -487,6 +487,21 @@ class TestErrorChannel:
         document = {"rootsystem": {"rank": 4000, "roots": [], "family": None}, "p": 1, "orders": []}
         self._assert_refused_promptly(["strata", "witness"], document)
 
+    @pytest.mark.parametrize(
+        "system, p",
+        [
+            (RootSystem(256, [[1, -1] + [0] * 254, [-1, 1] + [0] * 254]), 1),
+            (build_root_system("A", 7), 64),
+        ],
+        ids=["pair-in-rank-256", "A7-p64"],
+    )
+    def test_exponential_witness_searches_exit_three_promptly(self, system, p):
+        """Every order 1: the pair's search would pass 3^254 tuples, and
+        A7's first level would need height 4 in 8 coordinates, 9^8 tuples.
+        The search budget refuses each within about a second."""
+        document = order_vector_to_json(RootOrderVector(system, p, [1] * len(system)))
+        self._assert_refused_promptly(["strata", "witness"], document)
+
     def test_extract_at_the_first_refused_size_exits_three_promptly(self):
         """r = 41 would list 41^2 x 40 = 67,240 root entries; r = 40 lists 62,400."""
         diagonal = [[i + 1 if i == j else 0 for j in range(41)] for i in range(41)]

@@ -296,13 +296,19 @@ def test_the_floating_point_guard_sees_each_kind(tmp_path):
     ]
 
 
-def _constructor_skips(path):
-    """Each use of ``object.__new__``: its line and the function around it."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _owners(tree):
+    """The name of the function around each node, by node id."""
     owner = {}
     for fn in ast.walk(tree):  # outer functions first, so the innermost owner wins
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return owner
+
+
+def _constructor_skips(path):
+    """Each use of ``object.__new__``: its line and the function around it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = _owners(tree)
     return sorted(
         (node.lineno, owner.get(id(node), "<module>"))
         for node in ast.walk(tree)
@@ -366,3 +372,46 @@ def test_the_import_guard_sees_each_kind(tmp_path):
         "1: import dataclasses", "2: from dataclasses import dataclass, field",
         "3: import inspect", "4: from inspect import signature", "6: import inspect",
     ]
+
+
+_WHOLE_ELIMINATIONS = {"span_closure", "kernel_intersection_dim", "kernel_lattice_basis"}
+
+
+def _eliminations(path):
+    """The functions that call ``_echelon``, and each import of a public
+    routine that runs its own elimination, sorted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = _owners(tree)
+    callers = sorted({
+        owner.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "_echelon" or getattr(node.func, "attr", None) == "_echelon")
+    })
+    imports = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in _WHOLE_ELIMINATIONS
+    )
+    return callers, imports
+
+
+def test_strata_eliminates_only_in_levels():
+    """A stratum's levels are eliminated once each, by ``strata._levels``;
+    every other stratum routine reads the echelons it returns."""
+    path = Path(irrtypes.__file__).resolve().parent / "strata.py"
+    assert _eliminations(path) == (["_levels"], [])
+
+
+def test_the_elimination_guard_sees_each_kind(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .rootsystems import _echelon, span_closure as close\n"
+        "from .rootsystems import kernel_lattice_basis\n"
+        "def outer(s):\n    def inner():\n        return rootsystems._echelon(s, [])\n"
+        "    return _echelon(s, [])\n"
+        "_echelon(None, [])\n"
+    )
+    assert _eliminations(path) == (["<module>", "inner", "outer"], ["kernel_lattice_basis", "span_closure"])

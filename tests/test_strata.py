@@ -1,5 +1,7 @@
 """Stratification by root orders: relevance, enumeration, dimension, witnesses."""
 
+import io
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -27,7 +29,9 @@ from irrtypes import (
     stratum_witness,
     sublevel_sets,
 )
-from irrtypes import strata
+from irrtypes import rootsystems, strata
+from irrtypes.cli import run
+from irrtypes.irregular import irregular_type_to_json
 from irrtypes.rootsystems import kernel_intersection_dim
 
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
@@ -352,6 +356,76 @@ class TestWitness:
                         # each order-level root forbids at most one scale
                         assert hits >= 1
                 assert directions == stratum_dimension(system, p, s.orders)
+
+
+class TestWitnessSearchBudget:
+    def test_budget_counts_exactly(self, monkeypatch):
+        """A3 with every order p: the last level needs four distinct coordinates
+        (t = 4 basis vectors, 6 root pairs, 28 units a tuple).  It tries 1 tuple
+        of height 0, all 81 of height 1 (the zero tuple among them, skipped but
+        charged) and 39 of height 2, up to (-2, -1, 0, 1): 3,388 units.  At
+        p = 2 the first level takes the zero tuple for 4 more."""
+        A3 = build_root_system("A", 3)
+        for p, units in ((1, 3388), (2, 3392)):
+            monkeypatch.setattr(strata, "WITNESS_SEARCH_BUDGET", units)
+            w = stratum_witness(A3, p, [p] * 12)
+            assert [x.re for x in w.coefficients[-1]] == [-2, -1, 0, 1]
+            monkeypatch.setattr(strata, "WITNESS_SEARCH_BUDGET", units - 1)
+            with pytest.raises(TooLarge, match=f"^witness search exceeds the budget of {units - 1} units$"):
+                stratum_witness(A3, p, [p] * 12)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            build_root_system("A", 5),
+            build_root_system("D", 5),
+            RootSystem(13, [[1, -1] + [0] * 11, [-1, 1] + [0] * 11]),
+        ],
+        ids=["A5", "D5", "pair-in-rank-13"],
+    )
+    def test_generic_witnesses_within_the_budget_are_answered(self, system):
+        w = stratum_witness(system, 1, [1] * len(system))
+        assert root_order_vector(w).orders == (1,) * len(system)
+
+
+class TestEliminations:
+    """One elimination per distinct level of a stratum, in ``strata._levels``."""
+
+    @staticmethod
+    def _count(monkeypatch, call):
+        calls = []
+        real = rootsystems._gi_rref
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(rootsystems, "_gi_rref", counting)
+        call()
+        monkeypatch.setattr(rootsystems, "_gi_rref", real)
+        return len(calls)
+
+    def test_repeated_levels_are_eliminated_once(self, monkeypatch):
+        B3 = build_root_system("B", 3)
+        assert self._count(monkeypatch, lambda: stratum_dimension(B3, 1024, [0] * 18)) == 1
+        # levels: the empty set, then all 18 roots 1,023 times
+        assert self._count(monkeypatch, lambda: stratum_witness(B3, 1024, [1] * 18)) == 2
+
+    def test_dimension_witness_and_classify_share_the_count(self, monkeypatch, capsys):
+        D4 = build_root_system("D", 4)
+        stratum = next(
+            s for s in enumerate_strata(D4, 3) if [len(level) for level in s.filtration.levels] == [2, 4, 6]
+        )
+        d = stratum.orders
+        assert self._count(monkeypatch, lambda: stratum_dimension(D4, 3, d)) == 3
+        assert self._count(monkeypatch, lambda: stratum_witness(D4, 3, d)) == 3
+        document = json.dumps(irregular_type_to_json(stratum_witness(D4, 3, d)))
+        monkeypatch.setattr("sys.stdin", io.StringIO(document))
+        assert self._count(monkeypatch, lambda: run(["classify"])) == 3
+        result = json.loads(capsys.readouterr().out)
+        assert result["d"] == list(d.orders)
+        assert result["levels"] == [sorted(level) for level in stratum.filtration.levels]
+        assert result["dimension"] == stratum_dimension(D4, 3, d)
 
 
 class TestClosureOrder:
