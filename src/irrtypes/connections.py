@@ -71,8 +71,11 @@ from .scalars import (
     _gi_mul,
     _gi_rref,
     _gi_sub,
+    _Record,
+    _set_fields,
     _vector_from_json,
     _vector_to_json,
+    _word_cost,
     gauss,
 )
 
@@ -146,8 +149,7 @@ class _Work:
 
     def charge(self, operations: int, bits: int) -> None:
         """Pay for ``operations`` multiplications or gcds of operands totalling ``bits`` bits."""
-        s = 1 + bits // 64
-        self.left -= operations * s * s
+        self.left -= _word_cost(operations, bits)
         if self.left < 0:
             raise TooLarge(f"connection work exceeds the budget of {GERM_WORK_BUDGET}")
 
@@ -354,7 +356,7 @@ def _window_lau(r: int, window: Sequence[Matrix], lo: int, hi: Optional[int], wo
     return _Lau.of(r, dict(enumerate(window, lo)), hi, lo, work)
 
 
-class GaugeElement:
+class GaugeElement(_Record):
     """Polynomial matrix gauge with invertible constant term.
 
     Stores one coefficient matrix per order 0 .. order-1; coefficients
@@ -363,6 +365,7 @@ class GaugeElement:
     """
 
     __slots__ = ("r", "order", "_window")
+    __match_args__ = ("r", "entries")
 
     def __init__(self, r: int, entries: Sequence[Sequence[Sequence[ScalarLike]]]):
         if r < 1:
@@ -377,7 +380,7 @@ class GaugeElement:
         den = _common_denominator((x for row in window[0] for x in row), work.max_bits(r))
         # raises NotAUnit when singular
         _gi_mat_inverse([[_to_gi(x, den) for x in row] for row in window[0]], work)
-        self.r, self.order, self._window = r, len(window), window
+        _set_fields(self, r=r, order=len(window), _window=window)
 
     @staticmethod
     def identity(r: int, order: int = 1) -> "GaugeElement":
@@ -411,9 +414,6 @@ class GaugeElement:
         window = tuple(lau.matrix(l) for l in range(order))
         return _bare(GaugeElement, r=lau.r, order=order, _window=window)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GaugeElement) and self.r == other.r and self._window == other._window
-
     def __repr__(self) -> str:
         return f"GaugeElement(r={self.r}, order={self.order})"
 
@@ -431,7 +431,7 @@ def _compose(second: GaugeElement, first: GaugeElement, work: _Work) -> GaugeEle
     return GaugeElement.from_lau(prod, second.order + first.order - 1)
 
 
-class ConnectionGerm:
+class ConnectionGerm(_Record):
     """Matrix of one-forms f_ij dz, exact from order -(k+1) to N-1.
 
     Stores one coefficient matrix per order of that window.
@@ -463,9 +463,9 @@ class ConnectionGerm:
                 precisions.add(regular.order)
         if len(precisions) != 1:
             raise MalformedInput("entries must share one regular precision")
-        self.r, self.pole_bound, self.precision = r, pole_bound, precisions.pop()
         cells = [[tail.coeffs + regular.coeffs for tail, regular in row] for row in entries]
-        self._window = tuple(_by_order(cells))
+        window = tuple(_by_order(cells))
+        _set_fields(self, r=r, pole_bound=pole_bound, precision=precisions.pop(), _window=window)
 
     @staticmethod
     def from_order_dict(
@@ -516,6 +516,10 @@ class ConnectionGerm:
         window = tuple(lau.matrix(l) for l in range(-(pole_bound + 1), lau.hi))
         return _bare(ConnectionGerm, r=lau.r, pole_bound=pole_bound, precision=lau.hi, _window=window)
 
+    def __reduce__(self):
+        by_order = dict(enumerate(self._window, -(self.pole_bound + 1)))
+        return ConnectionGerm.from_order_dict, (self.r, self.pole_bound, self.precision, by_order)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ConnectionGerm)
@@ -523,6 +527,8 @@ class ConnectionGerm:
             and self.pole_bound == other.pole_bound
             and self._window == other._window
         )
+
+    __hash__ = None
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,8 @@ from .scalars import (
     _as_list,
     _as_object,
     _as_str,
+    _Record,
+    _set_fields,
     _vector_from_json,
     _vector_to_json,
 )
@@ -57,10 +59,10 @@ def root_pairing(root, vector: Sequence[GaussianRational]) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-class IrregularType:
+class IrregularType(_Record):
     """Coefficients A_1 .. A_p of z^{-1} .. z^{-p}; p = 0 means none."""
 
-    __slots__ = ("rootsystem", "p", "coefficients")
+    __slots__ = __match_args__ = ("rootsystem", "p", "coefficients")
 
     def __init__(self, rootsystem: RootSystem, p: int, coefficients: Sequence[Sequence[ScalarLike]]):
         if p < 0:
@@ -68,9 +70,7 @@ class IrregularType:
         coeffs = tuple(_coerce_vector(rootsystem.rank, v) for v in coefficients)
         if len(coeffs) != p:
             raise MalformedInput("need exactly p coefficient vectors")
-        self.rootsystem = rootsystem
-        self.p = p
-        self.coefficients = coeffs
+        _set_fields(self, rootsystem=rootsystem, p=p, coefficients=coeffs)
 
     @classmethod
     def zero(cls, rootsystem: RootSystem, p: int) -> "IrregularType":
@@ -86,18 +86,6 @@ class IrregularType:
         """Degrees j with a nonzero coefficient vector."""
         return [j for j in range(1, self.p + 1) if any(self.coefficient(j))]
 
-    def __eq__(self, other: object) -> bool:
-        # the two pole conventions never compare equal on the same data
-        return (
-            type(other) is type(self)
-            and self.rootsystem == other.rootsystem
-            and self.p == other.p
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rootsystem, self.p, self.coefficients))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.p}, rank={self.rootsystem.rank})"
 
@@ -107,16 +95,16 @@ class IrregularTypeAtInfinity(IrregularType):
 
     The same data as :class:`IrregularType` in the other coordinate, so
     root orders, filtrations and codecs are shared; the class records
-    only the convention.
+    only the convention, so the two never compare equal.
     """
 
     __slots__ = ()
 
 
-class RootOrderVector:
+class RootOrderVector(_Record):
     """Pole order of alpha applied to the type, per root index."""
 
-    __slots__ = ("rootsystem", "p", "orders")
+    __slots__ = __match_args__ = ("rootsystem", "p", "orders")
 
     def __init__(self, rootsystem: RootSystem, p: int, orders: Sequence[int]):
         if p < 0:
@@ -129,23 +117,10 @@ class RootOrderVector:
                 raise MalformedInput(f"order {d} at root {i} outside 0..{p}")
             if tup[rootsystem.negation_index(i)] != d:
                 raise MalformedInput("order vector must be symmetric under negation")
-        self.rootsystem = rootsystem
-        self.p = p
-        self.orders = tup
+        _set_fields(self, rootsystem=rootsystem, p=p, orders=tup)
 
     def max_order(self) -> int:
         return max(self.orders, default=0)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RootOrderVector)
-            and self.rootsystem == other.rootsystem
-            and self.p == other.p
-            and self.orders == other.orders
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rootsystem, self.p, self.orders))
 
     def __repr__(self) -> str:
         return f"RootOrderVector({list(self.orders)})"
@@ -192,10 +167,10 @@ def levi_filtration_of(q: IrregularType | RootOrderVector) -> LeviFiltration:
     return LeviFiltration(vec.rootsystem, sublevel_sets(vec.rootsystem, vec.p, vec.orders))
 
 
-class FamilyIrregularType:
+class FamilyIrregularType(_Record):
     """Irregular type whose coefficients are polynomials on an affine base."""
 
-    __slots__ = ("rootsystem", "p", "variables", "coefficients")
+    __slots__ = __match_args__ = ("rootsystem", "p", "variables", "coefficients")
 
     def __init__(
         self,
@@ -218,10 +193,7 @@ class FamilyIrregularType:
                 if not isinstance(entry, MultiPoly) or entry.variables != vs:
                     raise MalformedInput("family entries must be polynomials over the base variables")
             coeffs.append(vec)
-        self.rootsystem = rootsystem
-        self.p = p
-        self.variables = vs
-        self.coefficients = tuple(coeffs)
+        _set_fields(self, rootsystem=rootsystem, p=p, variables=vs, coefficients=tuple(coeffs))
 
     def coefficient(self, j: int) -> Tuple[MultiPoly, ...]:
         if not 1 <= j <= self.p:

@@ -11,7 +11,17 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import MalformedInput, ShapeMismatch
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _as_int, _as_list, _as_object
+from .scalars import (
+    G_ONE,
+    G_ZERO,
+    GaussianRational,
+    ScalarLike,
+    _as_int,
+    _as_list,
+    _as_object,
+    _Record,
+    _set_fields,
+)
 
 Exponents = Tuple[int, ...]
 
@@ -21,10 +31,10 @@ def _gradlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-class MultiPoly:
+class MultiPoly(_Record):
     """Polynomial in a fixed tuple of named variables."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = __match_args__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, ScalarLike]):
         vs = tuple(variables)
@@ -38,8 +48,7 @@ class MultiPoly:
             c = GaussianRational.of(coeff)
             if c:
                 clean[exps] = c
-        self.variables = vs
-        self.terms = clean
+        _set_fields(self, variables=vs, terms=clean)
 
     @staticmethod
     def zero(variables: Sequence[str]) -> "MultiPoly":
@@ -62,13 +71,7 @@ class MultiPoly:
         if self.variables != other.variables:
             raise ShapeMismatch("polynomials live over different variable tuples")
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
-
+    # The terms are a dict, so the hash reads them in a fixed order.
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 

@@ -34,6 +34,8 @@ from .scalars import (
     _as_str,
     _bare,
     _gi_rref,
+    _Record,
+    _set_fields,
     rat_from_str,
     rat_to_str,
 )
@@ -49,7 +51,7 @@ ENUMERATION_GUARD = 60
 FLAT_BUDGET = 1000
 
 
-class RootSystem:
+class RootSystem(_Record):
     """Ordered list of rational roots in a fixed ambient Q^rank.
 
     Parameters
@@ -65,6 +67,7 @@ class RootSystem:
     """
 
     __slots__ = ("rank", "roots", "family", "_index", "_negation", "_rows")
+    __match_args__ = ("rank", "roots", "family")
 
     def __init__(self, rank: int, roots: Iterable[Sequence], family: str | None = None):
         if rank < 1:
@@ -88,26 +91,13 @@ class RootSystem:
             if neg not in index:
                 raise MalformedInput(f"root set not closed under negation at {vec}")
             negation.append(index[neg])
-        self.rank = rank
-        self.roots = tuple(vecs)
-        self.family = family
-        self._index = index
-        self._negation = tuple(negation)
-        self._rows = tuple(_integer_row(vec) for vec in vecs)
+        rows = tuple(_integer_row(vec) for vec in vecs)
+        _set_fields(
+            self, rank=rank, roots=tuple(vecs), family=family, _index=index, _negation=tuple(negation), _rows=rows
+        )
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RootSystem)
-            and self.rank == other.rank
-            and self.roots == other.roots
-            and self.family == other.family
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.roots))
 
     def __repr__(self) -> str:
         label = self.family or f"{len(self.roots)} roots"
@@ -266,27 +256,16 @@ def _closure(system: RootSystem, chosen: frozenset, rows: IMatrix, pivots: List[
     )
 
 
-class LeviSubsystem:
+class LeviSubsystem(_Record):
     """Span-closed subset of a root system."""
 
-    __slots__ = ("system", "members")
+    __slots__ = __match_args__ = ("system", "members")
 
     def __init__(self, system: RootSystem, members: Iterable[int]):
         mem = frozenset(members)
         if span_closure(system, mem) != mem:
             raise MalformedInput("member set is not closed under rational spans")
-        self.system = system
-        self.members = mem
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LeviSubsystem)
-            and self.system == other.system
-            and self.members == other.members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.system, self.members))
+        _set_fields(self, system=system, members=mem)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -298,7 +277,7 @@ class LeviSubsystem:
         return f"LeviSubsystem({sorted(self.members)})"
 
 
-class LeviFiltration:
+class LeviFiltration(_Record):
     """Nested chain of span-closed subsets, one level per pole order.
 
     ``levels[i]`` holds the roots whose evaluation has vanished from
@@ -306,7 +285,7 @@ class LeviFiltration:
     system before the last level.
     """
 
-    __slots__ = ("system", "levels")
+    __slots__ = __match_args__ = ("system", "levels")
 
     def __init__(self, system: RootSystem, levels: Sequence[Iterable[int]]):
         frozen = [frozenset(level) for level in levels]
@@ -316,22 +295,11 @@ class LeviFiltration:
         for level in dict.fromkeys(frozen):
             if span_closure(system, level) != level:
                 raise MalformedInput("every filtration level must be span-closed")
-        self.system = system
-        self.levels = tuple(frozen)
+        _set_fields(self, system=system, levels=tuple(frozen))
 
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LeviFiltration)
-            and self.system == other.system
-            and self.levels == other.levels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.system, self.levels))
 
     def __repr__(self) -> str:
         return f"LeviFiltration({[sorted(level) for level in self.levels]})"

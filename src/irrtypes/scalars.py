@@ -99,26 +99,38 @@ ScalarLike = Union[int, Fraction, "GaussianRational"]
 _set = object.__setattr__
 
 
+def _set_fields(obj, **fields) -> None:
+    """Set each of a record's ``fields`` once, by name."""
+    for name, value in fields.items():
+        _set(obj, name, value)
+
+
 def _bare(cls, **fields):
     """An instance of ``cls`` holding ``fields``, without its constructor's checks:
     for results computed from checked parts, as outside input is checked once."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        setattr(obj, name, value)
+    _set_fields(obj, **fields)
     return obj
 
 
 class _Record:
-    """Base of the library's small immutable records.
+    """Base of every library value: immutable once its checks have passed.
 
-    A subclass names its fields, in constructor order, in both
-    ``__slots__`` and ``__match_args__``; its ``__init__`` sets them with
-    ``object.__setattr__`` and then calls ``self.__post_init__()`` for
-    its checks.  The base gives equality only with the same class, the
-    hash of the field tuple, the ``Name(field=value, ...)`` repr, no
-    assignment or deletion, and copy and pickle through the constructor:
-    what ``@dataclass(frozen=True)`` gave, without importing
-    ``dataclasses`` and ``inspect`` into every request that loads a record.
+    One construction rule: a subclass's ``__init__`` checks its
+    arguments, then sets each field once with ``_set_fields``, as
+    ``_bare`` does for results computed from checked parts.  Its
+    ``__slots__`` list every field, and its ``__match_args__`` the
+    constructor's arguments in order.  The base gives equality only with
+    the same class, the hash of the ``__match_args__`` tuple, the
+    ``Name(field=value, ...)`` repr, no assignment or deletion, and copy
+    and pickle through the constructor, so copies are checked again:
+    what ``@dataclass(frozen=True)`` gave, without loading ``dataclasses``
+    and ``inspect``.  As no value changes after its checks, outside input
+    is checked once and trusted after.
+
+    ``GaussianRational`` alone keeps a ``__post_init__``, called by its
+    ``__init__`` and looked up on the class, so that a wrapper installed
+    there counts every scalar built.
     """
 
     __slots__ = ()
@@ -149,7 +161,7 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class GaussianRational:
+class GaussianRational(_Record):
     """Element a + b*i of the Gaussian rationals.
 
     Immutable and hashable; real and imaginary parts are reduced
@@ -172,15 +184,7 @@ class GaussianRational:
         _set(self, "re", Fraction(self.re))
         _set(self, "im", Fraction(self.im))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return GaussianRational, (self.re, self.im)
-
+    # Faster than the field-tuple forms of ``_Record``, on the hottest type.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -302,6 +306,13 @@ IMatrix = List[List[GInt]]
 
 def _bits(matrices) -> int:
     return max((x.bit_length() for m in matrices for row in m for g in row for x in g), default=0)
+
+
+def _word_cost(operations: int, bits: int) -> int:
+    """The library's one work rule: ``operations`` multiplications or gcds of
+    operands totalling ``bits`` bits cost (1 + bits/64)^2 word operations each."""
+    words = 1 + bits // 64
+    return operations * words * words
 
 
 def _gi_mul(a: GInt, b: GInt) -> GInt:

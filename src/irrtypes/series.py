@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 from .errors import BadModulus, MalformedInput, NotAUnit, OutOfRange, PrecisionExhausted
 from .polynomials import MultiPoly
-from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _Record, _set
+from .scalars import G_ONE, G_ZERO, GaussianRational, ScalarLike, _Record, _set_fields
 
 
 def _coerce(coeffs: Sequence[ScalarLike]) -> Tuple[GaussianRational, ...]:
@@ -27,16 +27,12 @@ class TruncatedSeries(_Record):
     __slots__ = __match_args__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Tuple[GaussianRational, ...]) -> None:
-        _set(self, "order", order)
-        _set(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
+        if order < 1:
             raise MalformedInput("series order must be at least 1")
-        _set(self, "coeffs", _coerce(self.coeffs))
-        if len(self.coeffs) != self.order:
+        coeffs = _coerce(coeffs)
+        if len(coeffs) != order:
             raise MalformedInput("coefficient count must equal the order")
+        _set_fields(self, order=order, coeffs=coeffs)
 
     @staticmethod
     def of(coeffs: Sequence[ScalarLike], order: int | None = None) -> "TruncatedSeries":
@@ -127,16 +123,12 @@ class LaurentTail(_Record):
     __slots__ = __match_args__ = ("pole_order_bound", "coeffs")
 
     def __init__(self, pole_order_bound: int, coeffs: Tuple[GaussianRational, ...]) -> None:
-        _set(self, "pole_order_bound", pole_order_bound)
-        _set(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.pole_order_bound < 0:
+        if pole_order_bound < 0:
             raise MalformedInput("pole order bound must be non-negative")
-        _set(self, "coeffs", _coerce(self.coeffs))
-        if len(self.coeffs) != self.pole_order_bound:
+        coeffs = _coerce(coeffs)
+        if len(coeffs) != pole_order_bound:
             raise MalformedInput("tail must list exactly pole_order_bound coefficients")
+        _set_fields(self, pole_order_bound=pole_order_bound, coeffs=coeffs)
 
     @staticmethod
     def of(coeffs: Sequence[ScalarLike]) -> "LaurentTail":

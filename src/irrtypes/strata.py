@@ -10,7 +10,9 @@ intersections, which gives its dimension and an explicit witness.
 Outside input is checked once, by public constructors, decoders and
 ``_levels``, the one relevance check; what the library computes from
 checked parts (strata from Levi chains, the sublevel sets of a relevant
-vector) is wrapped with ``scalars._bare``, not validated again.
+vector) is wrapped with ``scalars._bare``, not validated again.  That is
+sound only because every value is an immutable ``scalars._Record``: an
+order vector or a root system cannot change after its checks.
 
 A stratum's levels are eliminated in one place, ``_levels``: one
 ``rootsystems._echelon`` per distinct level (at most rank + 1 of the p
@@ -25,7 +27,7 @@ from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import MalformedInput, NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch, TooLarge
-from .irregular import IrregularType, RootOrderVector, root_order_vector, sublevel_sets
+from .irregular import IrregularType, RootOrderVector, sublevel_sets
 from .rootsystems import (
     LeviFiltration,
     LeviSubsystem,
@@ -35,14 +37,15 @@ from .rootsystems import (
     _kernel_basis,
     enumerate_levi,
 )
-from .scalars import GInt, _as_int, _as_list, _as_object, _bare
+from .scalars import GInt, _as_int, _as_list, _as_object, _bare, _Record, _set_fields
 
 WITNESS_HEIGHT_CAP = 64
 # Largest pole bound an order vector or an enumeration may carry: every
 # path through ``_order_tuple`` builds p sublevel sets, and a witness runs
-# one search per level, then pairs each root with up to p coefficients.
-# On B3 at p = 1024 a dimension takes 2 ms and a witness with every order 1
-# takes 0.25 s on a 2-vCPU machine.
+# one search per level, then pairs each root's integer row with up to p
+# coefficients.  On B3 at p = 1024 a dimension takes 2 ms and a witness
+# takes 0.03 s with every order 1 and 0.02 s with every order 1024, on a
+# 2-vCPU machine.
 POLE_BOUND_BUDGET = 1024
 # Most strata one enumeration may list.  On the 12-24 root systems at
 # p <= 16 a stratum costs 76-140 us to build and encode (2-vCPU machine),
@@ -125,36 +128,24 @@ def filtration_to_dvector(filtration: LeviFiltration) -> RootOrderVector:
     return _bare(RootOrderVector, rootsystem=filtration.system, p=filtration.depth, orders=orders)
 
 
-class StratumDescriptor:
+class StratumDescriptor(_Record):
     """Order vector together with its Levi filtration, kept consistent."""
 
     __slots__ = ("rootsystem", "p", "orders", "filtration")
+    __match_args__ = ("orders", "filtration")
 
     def __init__(self, orders: RootOrderVector, filtration: LeviFiltration):
         if filtration.system != orders.rootsystem or filtration.depth != orders.p:
             raise ShapeMismatch("order vector and filtration disagree on parent data")
         if filtration_to_dvector(filtration) != orders:
             raise ShapeMismatch("order vector and filtration are inconsistent")
-        self.rootsystem = orders.rootsystem
-        self.p = orders.p
-        self.orders = orders
-        self.filtration = filtration
+        _set_fields(self, rootsystem=orders.rootsystem, p=orders.p, orders=orders, filtration=filtration)
 
     @staticmethod
     def from_orders(system: RootSystem, p: int, orders: Sequence[int]) -> "StratumDescriptor":
         vec = RootOrderVector(system, p, _order_tuple(system, p, orders))
         filtration = dvector_to_filtration(system, p, vec)
         return _bare(StratumDescriptor, rootsystem=system, p=p, orders=vec, filtration=filtration)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, StratumDescriptor)
-            and self.orders == other.orders
-            and self.filtration == other.filtration
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.orders, self.filtration))
 
     def __repr__(self) -> str:
         return f"StratumDescriptor(d={list(self.orders.orders)}, p={self.p})"
@@ -292,10 +283,18 @@ def stratum_witness(system: RootSystem, p: int, orders: Sequence[int] | RootOrde
         basis = _kernel_basis(system, *echelons[below])
         choice, spent = _search_off_hyperplanes(basis, avoid, system.rank, spent)
         vectors.append(choice)
-    witness = IrregularType(system, p, vectors)
-    if root_order_vector(witness).orders != tup:
+    if _integer_orders(system, vectors) != tup:
         raise SearchExhausted("witness search produced a point off the stratum")
-    return witness
+    return IrregularType(system, p, vectors)
+
+
+def _integer_orders(system: RootSystem, vectors: List[List[int]]) -> Tuple[int, ...]:
+    """Per root, the highest i whose integer A_i its integer row does not kill, else 0."""
+    p = len(vectors)
+    return tuple(
+        next((i for i in range(p, 0, -1) if sum(x * y for (x, _), y in zip(row, vectors[i - 1]))), 0)
+        for row in system._rows
+    )
 
 
 def closure_leq(first: RootOrderVector, second: RootOrderVector) -> bool:

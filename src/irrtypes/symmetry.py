@@ -54,7 +54,8 @@ from .scalars import (
     _as_list,
     _as_object,
     _Record,
-    _set,
+    _set_fields,
+    _word_cost,
 )
 from .strata import is_relevant
 
@@ -89,15 +90,10 @@ class AffineG1(_Record):
     __slots__ = __match_args__ = ("s", "r")
 
     def __init__(self, s: GaussianRational, r: GaussianRational) -> None:
-        _set(self, "s", s)
-        _set(self, "r", r)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _set(self, "s", GaussianRational.of(self.s))
-        _set(self, "r", GaussianRational.of(self.r))
-        if not self.r:
+        s, r = GaussianRational.of(s), GaussianRational.of(r)
+        if not r:
             raise MalformedInput("scaling part must be nonzero")
+        _set_fields(self, s=s, r=r)
 
     def compose(self, first: "AffineG1") -> "AffineG1":
         """self after first, as maps on the coordinate."""
@@ -111,7 +107,7 @@ class AffineG1(_Record):
 IDENTITY_G1 = AffineG1(G_ZERO, G_ONE)
 
 # Work one substitution may do, charged by the germ layer's rule
-# (``connections._Work.charge``): an operation on operands totalling b bits
+# (``scalars._word_cost``): an operation on operands totalling b bits
 # costs (1 + b/64)^2.  A1 at p = 100 with one-digit coefficients costs
 # about 10^8 (3 s on a 2-vCPU machine); p = 150, or p = 20 with 200-digit
 # coefficients, is refused.
@@ -138,8 +134,7 @@ def _check_g1_work(g: AffineG1, q: IrregularTypeAtInfinity) -> None:
     operations = sum(support) * (q.rootsystem.rank + 2 * top.bit_length())
     bits = top * (_bit_size(g.r) + _bit_size(g.s) + 1)
     bits += max(_bit_size(x) for j in support for x in q.coefficient(j))
-    words = 1 + bits // 64
-    if operations * words * words > G1_WORK_BUDGET:
+    if _word_cost(operations, bits) > G1_WORK_BUDGET:
         raise TooLarge(f"affine substitution work exceeds the budget of {G1_WORK_BUDGET}")
 
 
@@ -231,13 +226,10 @@ class TorusG2(_Record):
     __slots__ = __match_args__ = ("r",)
 
     def __init__(self, r: GaussianRational) -> None:
-        _set(self, "r", r)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _set(self, "r", GaussianRational.of(self.r))
-        if not self.r:
+        r = GaussianRational.of(r)
+        if not r:
             raise MalformedInput("torus element must be nonzero")
+        _set_fields(self, r=r)
 
 
 def g2_act(
@@ -448,13 +440,10 @@ class UpperHalfPoint(_Record):
     __slots__ = __match_args__ = ("tau",)
 
     def __init__(self, tau: GaussianRational) -> None:
-        _set(self, "tau", tau)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _set(self, "tau", GaussianRational.of(self.tau))
-        if self.tau.im <= 0:
+        tau = GaussianRational.of(tau)
+        if tau.im <= 0:
             raise MalformedInput("point must have positive imaginary part")
+        _set_fields(self, tau=tau)
 
 
 class SL2ZElement(_Record):
@@ -463,18 +452,12 @@ class SL2ZElement(_Record):
     __slots__ = __match_args__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for x in (self.a, self.b, self.c, self.d):
+        for x in (a, b, c, d):
             if not isinstance(x, int):
                 raise MalformedInput("matrix entries must be integers")
-        if self.a * self.d - self.b * self.c != 1:
+        if a * d - b * c != 1:
             raise MalformedInput("determinant must be one")
+        _set_fields(self, a=a, b=b, c=c, d=d)
 
     def compose(self, other: "SL2ZElement") -> "SL2ZElement":
         return SL2ZElement(

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals and Gaussian rationals.
 
-These tests check the test-side oracles in ``linalg_oracles`` that other
+These tests check the test-side oracles in ``fraction_oracles`` that other
 tests rely on: the ``Fraction`` elimination the root layer is compared
 with, and the inverse, characteristic polynomial and products the germ
 layer is compared with.
@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from irrtypes import G_ONE, G_ZERO, NotAUnit, gauss
-from linalg_oracles import (
+from fraction_oracles import (
     char_poly,
     clear_denominators,
     in_row_span,

@@ -335,6 +335,75 @@ def test_the_constructor_guard_sees_each_kind(tmp_path):
     assert _constructor_skips(path) == [(1, "<module>"), (4, "inner"), (5, "outer")]
 
 
+def _record_breaches(paths):
+    """Classes that break the one record rule, sorted: any that defines
+    ``__setattr__`` or ``__delattr__`` outside ``scalars``, and any public
+    class with non-empty ``__slots__`` that does not derive from ``_Record``."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    classes = {
+        node.name: node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def derives(name):
+        if name == "_Record":
+            return True
+        node = classes.get(name)
+        return node is not None and any(derives(getattr(b, "id", getattr(b, "attr", None))) for b in node.bases)
+
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defined = {}
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[item.name] = item
+                targets = item.targets if isinstance(item, ast.Assign) else [getattr(item, "target", None)]
+                defined.update((t.id, item.value) for t in targets if isinstance(t, ast.Name))
+            if module != "scalars.py":
+                found += [f"{module}: {node.name} defines {name}"
+                          for name in ("__delattr__", "__setattr__") if name in defined]
+            slots = defined.get("__slots__")
+            nonempty = slots is not None and not (isinstance(slots, (ast.Tuple, ast.List)) and not slots.elts)
+            if nonempty and not node.name.startswith("_") and not derives(node.name):
+                found.append(f"{module}: {node.name} has slots outside _Record")
+    return sorted(found)
+
+
+def test_every_value_class_is_an_immutable_record():
+    """Checked values cannot change: every public slotted class is a
+    ``scalars._Record``, and only ``scalars`` defines attribute setters."""
+    sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) == 11
+    assert _record_breaches(sources) == []
+
+
+def test_the_record_guard_sees_each_kind(tmp_path):
+    (tmp_path / "scalars.py").write_text(
+        "class _Record:\n    __slots__ = ()\n    def __setattr__(self, n, v):\n        pass\n"
+    )
+    (tmp_path / "sample.py").write_text(
+        "class Base(_Record):\n    __slots__ = ('x',)\n"
+        "class Child(Base):\n    __slots__ = __match_args__ = ('y',)\n"
+        "class Loose:\n    __slots__ = ('z',)\n"
+        "class Named(mod.Other):\n    __slots__ = 'w'\n"
+        "class Empty:\n    __slots__ = ()\n"
+        "class _Private:\n    __slots__ = ('v',)\n"
+        "class Guarded(Base):\n    __slots__ = ()\n    __delattr__ = None\n"
+        "    def __setattr__(self, n, v):\n        pass\n"
+    )
+    assert _record_breaches(sorted(tmp_path.glob("*.py"))) == [
+        "sample.py: Guarded defines __delattr__",
+        "sample.py: Guarded defines __setattr__",
+        "sample.py: Loose has slots outside _Record",
+        "sample.py: Named has slots outside _Record",
+    ]
+
+
 _BARRED_MODULES = {"dataclasses", "inspect"}
 
 

@@ -5,7 +5,7 @@ that do not span, proportional roots such as v and 2v, sets that are
 not crystallographic.  Hypothesis draws such sets in rank 1-3 (entries
 in -2..2, at most 10 roots) and checks the flat lattice, the strata at
 p <= 2, their dimensions and their witnesses against oracles that close
-every subset with the plain ``Fraction`` ranks of ``linalg_oracles``.
+every subset with the plain ``Fraction`` ranks of ``fraction_oracles``.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from itertools import combinations
 
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
-from linalg_oracles import mat_rank
+from fraction_oracles import mat_rank
 
 from irrtypes import (
     RootSystem,

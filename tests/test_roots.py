@@ -5,7 +5,7 @@ closes every subset of roots under rational spans using its own
 elimination code, and the flat counts against their closed forms.
 Ranks, kernels and spans, which the library reads off its fraction-free
 Gaussian-integer elimination, are checked against the ``Fraction``
-oracles in ``linalg_oracles``.
+oracles in ``fraction_oracles``.
 """
 
 import random
@@ -35,7 +35,7 @@ from irrtypes.rootsystems import (
     root_count,
 )
 from irrtypes.scalars import _gi_rref
-from linalg_oracles import clear_denominators, in_row_span, kernel_basis, mat_rank, rref
+from fraction_oracles import clear_denominators, in_row_span, kernel_basis, mat_rank, rref
 
 
 def _oracle_rank(vectors):
@@ -155,6 +155,22 @@ class TestClosure:
     def test_out_of_range(self):
         with pytest.raises(MalformedInput):
             span_closure(build_root_system("A", 1), [7])
+
+
+class TestImmutableValues:
+    def test_a_levi_subsystem_keeps_its_members_and_hash(self):
+        system = build_root_system("A", 2)
+        levi = enumerate_levi(system)[1]
+        held = {levi}
+        with pytest.raises(AttributeError):
+            levi.members = frozenset()
+        assert levi in held and levi.members == frozenset({0, 5})
+
+    def test_a_root_system_keeps_its_rank(self):
+        system = build_root_system("A", 2)
+        with pytest.raises(AttributeError):
+            system.rank = 9
+        assert system.rank == 3 and span_closure(system, [0]) == frozenset({0, 5})
 
 
 class TestEnumeration:

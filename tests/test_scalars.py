@@ -12,18 +12,37 @@ from irrtypes import (
     G_ONE,
     G_ZERO,
     AffineG1,
+    ConnectionGerm,
+    FamilyIrregularType,
+    GaugeElement,
     GaussianRational,
+    IrregularType,
+    IrregularTypeAtInfinity,
     LaurentTail,
+    LeviFiltration,
+    LeviSubsystem,
     MalformedInput,
+    MultiPoly,
     NotAUnit,
+    RootOrderVector,
+    RootSystem,
+    ShapeMismatch,
     SL2ZElement,
+    StratumDescriptor,
     TooLarge,
     TorusG2,
     TruncatedSeries,
     UpperHalfPoint,
+    build_root_system,
+    enumerate_levi,
+    enumerate_strata,
+    filtration_to_dvector,
+    gauge_compose,
+    gauge_transform,
     gauss,
+    stratum_witness,
 )
-from irrtypes.scalars import LITERAL_DIGIT_BUDGET, rat_from_str, rat_to_str
+from irrtypes.scalars import LITERAL_DIGIT_BUDGET, _bare, rat_from_str, rat_to_str
 
 
 small_rat = st.fractions(min_value=-50, max_value=50, max_denominator=50)
@@ -166,9 +185,19 @@ class TestValueSemantics:
         assert repr(value) == text
 
 
+_A1 = build_root_system("A", 1)
+_A2 = build_root_system("A", 2)
+_X = MultiPoly.variable(("x",), "x")
+_GAUGE = GaugeElement(2, [[[1, 1], [0, 2]], [[0, 1], [1, 3]]])
+_GERM = ConnectionGerm.from_order_dict(2, 1, 2, {-2: [[1, 0], [0, 2]], -1: [[gauss(0, 1), 0], [0, 3]]})
+
+
 # The library's other immutable records: a factory, another value of the
-# same class, the repr the frozen dataclasses they replaced printed, and
-# one constructor call per check they run.
+# same class, the repr it prints, and one constructor call per check it
+# runs, each raising ``MalformedInput`` unless paired with its error.
+# Factories that compute their value (``enumerate_levi``,
+# ``enumerate_strata``, ``filtration_to_dvector``, ``gauge_compose``)
+# wrap it with ``_bare``, so its copies are its first checked build.
 _RECORDS = [
     pytest.param(
         lambda: TruncatedSeries(2, (gauss(1), gauss(Fraction(1, 2), -3))),
@@ -213,6 +242,77 @@ _RECORDS = [
         [lambda: SL2ZElement(1, 1, 1, 1), lambda: SL2ZElement(Fraction(1), 0, 0, 1)],
         id="SL2ZElement",
     ),
+    pytest.param(
+        lambda: build_root_system("A", 2),
+        RootSystem(1, [(1,), (-1,)]),
+        "RootSystem(A2, rank=3)",
+        [lambda: RootSystem(0, []), lambda: RootSystem(1, [(1,)]), lambda: RootSystem(1, [(0,)]),
+         lambda: RootSystem(1, [(1,), (1,), (-1,)]), lambda: RootSystem(2, [(1,), (-1,)])],
+        id="RootSystem",
+    ),
+    pytest.param(
+        lambda: enumerate_levi(_A2)[1],
+        enumerate_levi(_A2)[2],
+        "LeviSubsystem([0, 5])",
+        [lambda: LeviSubsystem(_A2, [0, 1])],
+        id="LeviSubsystem",
+    ),
+    pytest.param(
+        lambda: enumerate_strata(_A2, 2)[3].filtration,
+        LeviFiltration(_A2, [[], []]),
+        "LeviFiltration([[], [2, 3]])",
+        [lambda: LeviFiltration(_A2, [[2, 3], []]), lambda: LeviFiltration(_A2, [[0]])],
+        id="LeviFiltration",
+    ),
+    pytest.param(
+        lambda: stratum_witness(_A2, 1, [1] * 6),
+        IrregularType.zero(_A2, 1),
+        "IrregularType(p=1, rank=3)",
+        [lambda: IrregularType(_A2, -1, []), lambda: IrregularType(_A2, 1, []),
+         lambda: IrregularType(_A2, 1, [[1]])],
+        id="IrregularType",
+    ),
+    pytest.param(
+        lambda: IrregularTypeAtInfinity(_A1, 2, [[1, gauss(0, 1)], [0, Fraction(1, 2)]]),
+        IrregularTypeAtInfinity.zero(_A1, 2),
+        "IrregularTypeAtInfinity(p=2, rank=2)",
+        [lambda: IrregularTypeAtInfinity(_A1, 1, [[1, 2], [3, 4]])],
+        id="IrregularTypeAtInfinity",
+    ),
+    pytest.param(
+        lambda: filtration_to_dvector(enumerate_strata(_A2, 2)[3].filtration),
+        RootOrderVector(_A2, 2, [2] * 6),
+        "RootOrderVector([2, 2, 1, 1, 2, 2])",
+        [lambda: RootOrderVector(_A2, 1, [2] * 6), lambda: RootOrderVector(_A2, 1, [1] + [0] * 5),
+         lambda: RootOrderVector(_A2, 1, [1])],
+        id="RootOrderVector",
+    ),
+    pytest.param(
+        lambda: FamilyIrregularType(_A1, 1, ("x",), [[_X, MultiPoly.zero(("x",))]]),
+        FamilyIrregularType(_A1, 0, ("x",), []),
+        "FamilyIrregularType(rootsystem=RootSystem(A1, rank=2), p=1, variables=('x',), "
+        "coefficients=((1*x, 0),))",
+        [lambda: FamilyIrregularType(_A1, -1, ("x",), []),
+         lambda: FamilyIrregularType(_A1, 1, ("y",), [[_X, _X]])],
+        id="FamilyIrregularType",
+    ),
+    pytest.param(
+        lambda: enumerate_strata(_A2, 2)[3],
+        enumerate_strata(_A2, 2)[0],
+        "StratumDescriptor(d=[2, 2, 1, 1, 2, 2], p=2)",
+        [(ShapeMismatch, lambda: StratumDescriptor(RootOrderVector(_A2, 2, [2] * 6), LeviFiltration(_A2, [[]]))),
+         (ShapeMismatch,
+          lambda: StratumDescriptor(RootOrderVector(_A2, 1, [1] * 6), LeviFiltration(_A2, [[0, 5]])))],
+        id="StratumDescriptor",
+    ),
+    pytest.param(
+        lambda: gauge_compose(_GAUGE, _GAUGE),
+        GaugeElement.identity(2),
+        "GaugeElement(r=2, order=3)",
+        [lambda: GaugeElement(0, []), lambda: GaugeElement(1, [[[1], [1]]]),
+         (NotAUnit, lambda: GaugeElement.from_constant([[1, 2], [2, 4]]))],
+        id="GaugeElement",
+    ),
 ]
 
 
@@ -234,5 +334,41 @@ def test_record_semantics(make, other, text, invalid):
     for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(c) is type(a) and c == a and repr(c) == text
     for build in invalid:
-        with pytest.raises(MalformedInput):
+        error, build = build if isinstance(build, tuple) else (MalformedInput, build)
+        with pytest.raises(error):
             build()
+
+
+def test_polynomials_and_germs_are_records_with_their_own_hash_rules():
+    """``MultiPoly`` hashes its term dict in a fixed order; ``ConnectionGerm``
+    is unhashable and copies through ``from_order_dict``."""
+    poly = MultiPoly(("x", "y"), {(1, 0): gauss(2), (0, 2): gauss(0, 1)})
+    germ = gauge_transform(_GERM, _GAUGE)
+    assert hash(poly) == hash(MultiPoly(("x", "y"), {(0, 2): gauss(0, 1), (1, 0): gauss(2)}))
+    with pytest.raises(TypeError):
+        hash(germ)
+    assert poly != poly.terms and germ != germ._window
+    germ_fields = ("r", "pole_bound", "precision", "_window")
+    for value, fields in ((poly, ("variables", "terms")), (germ, germ_fields)):
+        for name in fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for c in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(c) is type(value) and c == value and repr(c) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _bare(LeviSubsystem, system=_A2, members=frozenset({0, 1})),
+        _bare(RootOrderVector, rootsystem=_A2, p=1, orders=(7,) * 6),
+        _bare(ConnectionGerm, r=1, pole_bound=0, precision=1, _window=((), ())),
+    ],
+    ids=["LeviSubsystem", "RootOrderVector", "ConnectionGerm"],
+)
+def test_copies_rerun_the_constructor_checks(bad):
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(MalformedInput):
+            clone(bad)

@@ -14,6 +14,7 @@ from irrtypes import (
     OutOfRange,
     RootOrderVector,
     RootSystem,
+    SearchExhausted,
     ShapeMismatch,
     StratumDescriptor,
     TooLarge,
@@ -356,6 +357,28 @@ class TestWitness:
                         # each order-level root forbids at most one scale
                         assert hits >= 1
                 assert directions == stratum_dimension(system, p, s.orders)
+
+
+    def test_self_check_refuses_a_point_off_the_stratum(self, monkeypatch):
+        """The closing check recomputes every root order from the integer vectors."""
+        def off_stratum(basis, avoid, dim, spent):
+            return [1] + [0] * (dim - 1), spent  # e_2 - e_3 vanishes here
+
+        assert stratum_witness(A2, 1, [1] * 6).p == 1
+        monkeypatch.setattr(strata, "_search_off_hyperplanes", off_stratum)
+        with pytest.raises(SearchExhausted):
+            stratum_witness(A2, 1, [1] * 6)
+
+
+class TestImmutableValues:
+    def test_an_order_vector_cannot_change_after_its_checks(self):
+        """Strata trust a checked order vector's orders, so they must not change."""
+        vec = RootOrderVector(A2, 1, [1] * 6)
+        with pytest.raises(AttributeError):
+            vec.orders = (7,) * 6
+        assert vec.orders == (1,) * 6 and stratum_dimension(A2, 1, vec) == 3
+        with pytest.raises(OutOfRange):
+            stratum_dimension(A2, 1, [7] * 6)
 
 
 class TestWitnessSearchBudget:
