@@ -7,6 +7,14 @@ gives a principal part whose pole order is the root order d_alpha; the
 vector of all root orders and the associated nested chain of vanishing
 sets are the combinatorial shadow used by the stratification.
 
+Every root order comes from one rule, ``_row_order``, in integers: a
+coefficient vector is scaled by the lcm of its denominators into an
+integer real part and, when nonzero, an integer imaginary part
+(``_integer_parts``), and a root's order is the highest level whose
+parts its primitive integer row (``RootSystem._rows``) does not all
+kill.  Scaling changes no zero pairing, so the rule asks only what the
+exact pairing would; ``root_pairing`` is kept for the values themselves.
+
 Moving the pole to infinity changes the coordinate, not the data: a
 type at infinity lists the coefficients of z^1 .. z^p and has the same
 root orders and filtration.  Its class, ``IrregularTypeAtInfinity``, is
@@ -20,6 +28,7 @@ across the base.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import MalformedInput
@@ -32,6 +41,7 @@ from .scalars import (
     _as_list,
     _as_object,
     _as_str,
+    _bare,
     _Record,
     _set_fields,
     _vector_from_json,
@@ -50,7 +60,8 @@ def _coerce_vector(rank: int, vector: Sequence[ScalarLike]) -> CoefficientVector
 
 
 def root_pairing(root, vector: Sequence[GaussianRational]) -> GaussianRational:
-    """Evaluate a rational root functional on a Gaussian coefficient vector."""
+    """Evaluate a rational root functional on a Gaussian coefficient vector,
+    where the exact value is needed; orders use ``_row_order``."""
     re = im = Fraction(0)
     for a, v in zip(root, vector):
         if a:
@@ -137,17 +148,33 @@ def evaluate_root(q: IrregularType, root_index: int) -> LaurentTail:
     return LaurentTail(q.p, tuple(coeffs))
 
 
-def root_order(q: IrregularType, root_index: int) -> int:
-    root = q.rootsystem.roots[root_index]
-    for j in range(q.p, 0, -1):
-        if root_pairing(root, q.coefficient(j)):
-            return j
+def _integer_parts(vector: Sequence[GaussianRational]) -> List[List[int]]:
+    """``vector`` times the lcm of its denominators: its integer real part, and
+    its imaginary part when that is nonzero.  A real row kills the vector
+    exactly when it kills every part."""
+    scale = lcm(*(x.re.denominator for x in vector), *(x.im.denominator for x in vector))
+    re = [x.re.numerator * (scale // x.re.denominator) for x in vector]
+    im = [x.im.numerator * (scale // x.im.denominator) for x in vector]
+    return [re, im] if any(im) else [re]
+
+
+def _row_order(row: Sequence[int], levels: Sequence[Sequence[Sequence[int]]]) -> int:
+    """The one order rule: the highest level i whose integer vectors
+    ``levels[i - 1]`` the integer root row does not all kill, else 0."""
+    for i in range(len(levels), 0, -1):
+        if any(sum(x * y for x, y in zip(row, v)) for v in levels[i - 1]):
+            return i
     return 0
 
 
+def root_order(q: IrregularType, root_index: int) -> int:
+    return _row_order(q.rootsystem._rows[root_index], [_integer_parts(v) for v in q.coefficients])
+
+
 def root_order_vector(q: IrregularType) -> RootOrderVector:
-    orders = [root_order(q, i) for i in range(len(q.rootsystem))]
-    return RootOrderVector(q.rootsystem, q.p, orders)
+    levels = [_integer_parts(v) for v in q.coefficients]
+    orders = tuple(_row_order(row, levels) for row in q.rootsystem._rows)
+    return _bare(RootOrderVector, rootsystem=q.rootsystem, p=q.p, orders=orders)
 
 
 def sublevel_sets(system: RootSystem, p: int, orders: Sequence[int]) -> List[frozenset]:

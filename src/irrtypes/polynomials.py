@@ -1,13 +1,14 @@
 """Multivariate polynomials over the Gaussian rationals.
 
-Terms are a map from exponent tuples (aligned with a fixed, ordered
-variable tuple) to nonzero coefficients.  Zero coefficients are dropped
-on construction; the graded lexicographic order fixes the canonical term
-order for display and serialization.
+Terms are a read-only map from exponent tuples (aligned with a fixed,
+ordered variable tuple) to nonzero coefficients.  Zero coefficients are
+dropped on construction; the graded lexicographic order fixes the
+canonical term order for display and serialization.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import MalformedInput, ShapeMismatch
@@ -48,7 +49,7 @@ class MultiPoly(_Record):
             c = GaussianRational.of(coeff)
             if c:
                 clean[exps] = c
-        _set_fields(self, variables=vs, terms=clean)
+        _set_fields(self, variables=vs, terms=MappingProxyType(clean))
 
     @staticmethod
     def zero(variables: Sequence[str]) -> "MultiPoly":
@@ -71,9 +72,13 @@ class MultiPoly(_Record):
         if self.variables != other.variables:
             raise ShapeMismatch("polynomials live over different variable tuples")
 
-    # The terms are a dict, so the hash reads them in a fixed order.
+    # The terms are a read-only view of a dict, so the hash reads them in a
+    # fixed order, and copies and pickles pass the constructor a plain dict.
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+
+    def __reduce__(self):
+        return MultiPoly, (self.variables, dict(self.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

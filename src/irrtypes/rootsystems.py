@@ -11,9 +11,13 @@ A Levi subsystem is a subset of the form (rational span of the subset)
 intersected with the whole system; a Levi filtration is a nested chain
 of those.  These index the strata of irregular-type spaces.
 
-Spans, ranks and kernels are read off the library's one elimination,
-``scalars._gi_rref``, run on each root's positive multiple that is a
-primitive integer row: the same spans, and negation pairs kept.
+Each root is stored once more as its positive multiple that is a
+primitive integer row, ``RootSystem._rows``, a tuple of plain ints: the
+same spans and kernels, negation pairs kept, and the same zero pairings,
+so every root order question reads these rows.  Spans, ranks and kernels
+are read off the library's one elimination, ``scalars._gi_rref``, which
+works on Gaussian-integer pairs; ``_echelon`` alone lifts the rows to
+(x, 0) pairs for it and reads its result back as plain ints.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import MalformedInput, TooLarge, Unsupported
 from .scalars import (
-    GInt,
-    IMatrix,
     _as_int,
     _as_list,
     _as_object,
@@ -41,6 +43,8 @@ from .scalars import (
 )
 
 RootVector = Tuple[Fraction, ...]
+# Pivot rows of an ``_echelon``, plain ints.
+Echelon = List[List[int]]
 
 ENUMERATION_GUARD = 60
 # Most flats one walk of the flat lattice may find.  The walk goes rank by
@@ -116,31 +120,34 @@ class RootSystem(_Record):
         return len(_echelon(self, range(len(self)))[1])
 
 
-def _integer_row(vec: RootVector) -> Tuple[GInt, ...]:
-    """``vec`` times a positive rational: a primitive integer row, as (x, 0) pairs."""
+def _integer_row(vec: RootVector) -> Tuple[int, ...]:
+    """``vec`` times a positive rational: a primitive integer row."""
     scale = lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (scale // x.denominator) for x in vec]
     g = gcd(*ints)
-    return tuple((x // g, 0) for x in ints)
+    return tuple(x // g for x in ints)
 
 
-def _echelon(system: RootSystem, members: Iterable[int]) -> Tuple[IMatrix, List[int], int]:
+def _echelon(system: RootSystem, members: Iterable[int]) -> Tuple[Echelon, List[int], int]:
     """Pivot rows, pivot columns and p of the chosen roots' fraction-free RREF.
 
-    Row j has p at pivot column j and 0 at the others; entries are (x, 0) pairs.
+    Row j has p at pivot column j and 0 at the others.  Integer rows stay
+    real through the elimination, so the (x, 0) pairs it works on are made
+    here and read back as plain ints here, and nowhere else.
     """
-    rows, pivots, p = _gi_rref([system._rows[i] for i in sorted(members)], system.rank)
-    return rows[: len(pivots)], pivots, p[0]
+    lifted = [[(x, 0) for x in system._rows[i]] for i in sorted(members)]
+    rows, pivots, p = _gi_rref(lifted, system.rank)
+    return [[x for x, _ in row] for row in rows[: len(pivots)]], pivots, p[0]
 
 
-def _in_span(v: Sequence[GInt], rows: IMatrix, pivots: List[int], free: List[int], p: int) -> bool:
+def _in_span(v: Sequence[int], rows: Echelon, pivots: List[int], free: List[int], p: int) -> bool:
     """Whether the nonzero row v lies in the span of an ``_echelon``: p v = sum_j v[pivot_j] r_j.
 
     The pivot columns agree by construction, so only the free ones are
     compared; a v that is zero at every pivot column is not in the span.
     """
-    terms = [(v[b][0], r) for b, r in zip(pivots, rows) if v[b][0]]
-    return bool(terms) and all(p * v[c][0] == sum(a * r[c][0] for a, r in terms) for c in free)
+    terms = [(v[b], r) for b, r in zip(pivots, rows) if v[b]]
+    return bool(terms) and all(p * v[c] == sum(a * r[c] for a, r in terms) for c in free)
 
 
 def root_count(family: str, rank: int) -> int:
@@ -248,7 +255,7 @@ def span_closure(system: RootSystem, members: Iterable[int]) -> FrozenSet[int]:
     return _closure(system, chosen, *_echelon(system, chosen))
 
 
-def _closure(system: RootSystem, chosen: frozenset, rows: IMatrix, pivots: List[int], p: int) -> frozenset:
+def _closure(system: RootSystem, chosen: frozenset, rows: Echelon, pivots: List[int], p: int) -> frozenset:
     """``chosen`` and every other root in the span of its ``_echelon``, ``rows, pivots, p``."""
     free = [c for c in range(system.rank) if c not in pivots]
     return chosen | frozenset(
@@ -349,7 +356,7 @@ def kernel_lattice_basis(system: RootSystem, members: Iterable[int]) -> List[Lis
     return [[Fraction(x) for x in v] for v in _kernel_basis(system, *_echelon(system, set(members)))]
 
 
-def _kernel_basis(system: RootSystem, rows: IMatrix, pivots: List[int], p: int) -> List[List[int]]:
+def _kernel_basis(system: RootSystem, rows: Echelon, pivots: List[int], p: int) -> List[List[int]]:
     """``kernel_lattice_basis`` read off an ``_echelon``, in integers."""
     basis = []
     for f in range(system.rank):
@@ -358,7 +365,7 @@ def _kernel_basis(system: RootSystem, rows: IMatrix, pivots: List[int], p: int) 
         v = [0] * system.rank
         v[f] = p
         for r, c in zip(rows, pivots):
-            v[c] = -r[f][0]
+            v[c] = -r[f]
         g = gcd(*v)
         if next(x for x in v if x) < 0:
             g = -g

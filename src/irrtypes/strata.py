@@ -17,7 +17,10 @@ order vector or a root system cannot change after its checks.
 A stratum's levels are eliminated in one place, ``_levels``: one
 ``rootsystems._echelon`` per distinct level (at most rank + 1 of the p
 levels are distinct), which the relevance check, the dimension and the
-witness search all read.
+witness search all read.  A witness is checked before it is returned:
+every root's order is recomputed from its integer row and the witness's
+integer vectors by ``irregular._row_order``, the rule every order
+question goes through.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import MalformedInput, NotRelevant, OutOfRange, SearchExhausted, ShapeMismatch, TooLarge
-from .irregular import IrregularType, RootOrderVector, sublevel_sets
+from .irregular import IrregularType, RootOrderVector, _row_order, sublevel_sets
 from .rootsystems import (
     LeviFiltration,
     LeviSubsystem,
@@ -37,7 +40,7 @@ from .rootsystems import (
     _kernel_basis,
     enumerate_levi,
 )
-from .scalars import GInt, _as_int, _as_list, _as_object, _bare, _Record, _set_fields
+from .scalars import _as_int, _as_list, _as_object, _bare, _Record, _set_fields
 
 WITNESS_HEIGHT_CAP = 64
 # Largest pole bound an order vector or an enumeration may carry: every
@@ -52,6 +55,14 @@ POLE_BOUND_BUDGET = 1024
 # so the budget is about 3 s there: A3 has 14,025 strata at p = 16
 # (1.3 s) and 202,581 at p = 40.
 STRATA_BUDGET = 20_000
+# Most entries the strata of one enumeration may list, counted with the
+# strata before any is listed: per stratum, one order per root plus the
+# members of its p levels.  An entry costs 0.3-1.2 us to build and encode
+# (2-vCPU machine), so the budget is about 0.6-2.5 s: A1 at p = 1000 (1.0
+# million entries, 1.2 s) and the 60 roots +-1..+-30 on one line at p = 256
+# (2.0 million, 0.6 s) are answered; that line at p = 263, A2 at p = 80,
+# B2 at p = 67 and G2 at p = 52 are the first refused.
+STRATA_ENTRY_BUDGET = 1 << 21
 # Largest p x rank^2 a witness may cost: each of the p levels reads a
 # kernel basis of up to rank vectors of rank entries off its level's
 # echelon, and the witness lists p vectors of rank entries.  B3 at p = 1024
@@ -151,26 +162,34 @@ class StratumDescriptor(_Record):
         return f"StratumDescriptor(d={list(self.orders.orders)}, p={self.p})"
 
 
-def _count_chains(levis: Sequence[LeviSubsystem], p: int) -> int:
-    """Number of chains L_1 <= .. <= L_p of Levi subsystems, none listed.
+def _count_chains(levis: Sequence[LeviSubsystem], p: int) -> Tuple[int, int]:
+    """Number of chains L_1 <= .. <= L_p of Levi subsystems, and of the
+    level members they list together, none listed.
 
-    A chain with k distinct members is a strict chain of k Levis spread
-    over p positions, which can be done in C(p - 1, k - 1) ways.  The
-    strict chains are counted by their top member; ``levis`` is sorted by
-    size, so every proper subsystem of a Levi comes before it.
+    A chain with k distinct members is a strict chain M_1 < .. < M_k of
+    Levis spread over p positions, which can be done in C(p - 1, k - 1)
+    ways.  Over those spreadings each M_i fills p C(p - 1, k - 1) / k =
+    C(p, k) positions, by symmetry, so the strict chain lists C(p, k)
+    (|M_1| + .. + |M_k|) members.  The strict chains are counted by their
+    top member; ``levis`` is sorted by size, so every proper subsystem of
+    a Levi comes before it.
     """
     if p == 0:
-        return 1
+        return 1, 0
     members = [levi.members for levi in levis]
     below = [[j for j in range(i) if members[j] < top] for i, top in enumerate(members)]
+    # per top member, the strict chains of length k and their summed sizes
     ending = [1] * len(members)
-    total = 0
+    sizes = [len(top) for top in members]
+    total = listed = 0
     for k in range(1, p + 1):
         total += comb(p - 1, k - 1) * sum(ending)
+        listed += comb(p, k) * sum(sizes)
         ending = [sum(ending[j] for j in lower) for lower in below]
+        sizes = [sum(sizes[j] for j in lower) + n * len(top) for lower, n, top in zip(below, ending, members)]
         if not any(ending):
             break
-    return total
+    return total, listed
 
 
 def enumerate_strata(system: RootSystem, p: int) -> List[StratumDescriptor]:
@@ -183,9 +202,12 @@ def enumerate_strata(system: RootSystem, p: int) -> List[StratumDescriptor]:
         raise OutOfRange("pole bound must be non-negative")
     _check_pole_bound(p)
     levis = enumerate_levi(system)
-    count = _count_chains(levis, p)
+    count, listed = _count_chains(levis, p)
     if count > STRATA_BUDGET:
         raise TooLarge(f"pole bound {p} gives {count} strata; budget is {STRATA_BUDGET}")
+    entries = count * len(system) + listed
+    if entries > STRATA_ENTRY_BUDGET:
+        raise TooLarge(f"pole bound {p} gives strata of {entries} entries; budget is {STRATA_ENTRY_BUDGET}")
     out = []
     for chain in _chains(levis, p):
         vec = _bare(RootOrderVector, rootsystem=system, p=p, orders=_orders_of(chain, len(system)))
@@ -232,7 +254,7 @@ def stratum_dimension(system: RootSystem, p: int, orders: Sequence[int] | RootOr
 
 
 def _search_off_hyperplanes(
-    basis: List[List[int]], avoid: List[Sequence[GInt]], dim: int, spent: int
+    basis: List[List[int]], avoid: List[Sequence[int]], dim: int, spent: int
 ) -> Tuple[List[int], int]:
     """Smallest-height integer combination of ``basis`` off every hyperplane
     row . x = 0 of ``avoid``, and the search units spent, ``spent`` included.
@@ -245,7 +267,7 @@ def _search_off_hyperplanes(
     t (1 + len(avoid)) units for t basis vectors, charged before its test.
     """
     t = len(basis)
-    pairings = [[sum(x * y for (x, _), y in zip(row, b)) for b in basis] for row in avoid]
+    pairings = [[sum(x * y for x, y in zip(row, b)) for b in basis] for row in avoid]
     cost = t * (1 + len(avoid))
     for height in range(WITNESS_HEIGHT_CAP + 1):
         for coeffs in product(range(-height, height + 1), repeat=t):
@@ -283,18 +305,9 @@ def stratum_witness(system: RootSystem, p: int, orders: Sequence[int] | RootOrde
         basis = _kernel_basis(system, *echelons[below])
         choice, spent = _search_off_hyperplanes(basis, avoid, system.rank, spent)
         vectors.append(choice)
-    if _integer_orders(system, vectors) != tup:
+    if tuple(_row_order(row, [[v] for v in vectors]) for row in system._rows) != tup:
         raise SearchExhausted("witness search produced a point off the stratum")
     return IrregularType(system, p, vectors)
-
-
-def _integer_orders(system: RootSystem, vectors: List[List[int]]) -> Tuple[int, ...]:
-    """Per root, the highest i whose integer A_i its integer row does not kill, else 0."""
-    p = len(vectors)
-    return tuple(
-        next((i for i in range(p, 0, -1) if sum(x * y for (x, _), y in zip(row, vectors[i - 1]))), 0)
-        for row in system._rows
-    )
 
 
 def closure_leq(first: RootOrderVector, second: RootOrderVector) -> bool:

@@ -5,7 +5,9 @@ the Gaussian integers in ``irrtypes.scalars``: the root layer reads
 ranks, kernels and row spans off it, and the germ layer inverses and
 eigenvectors.  These textbook versions work on any field entries
 (``Fraction`` or ``GaussianRational``) and check those results
-independently.
+independently.  ``root_order`` is the root order the library read off
+exact ``Fraction`` pairings before it paired integer rows, and
+``point_counts`` counts the points of each stratum over a finite field.
 """
 
 from fractions import Fraction
@@ -81,6 +83,61 @@ def clear_denominators(vector):
     if lead < 0:
         ints = [-x for x in ints]
     return [Fraction(x) for x in ints]
+
+
+def root_order(root, coefficients):
+    """Pole order of a rational root composed with the type A_1 .. A_p: the
+    highest j whose pairing with A_j, summed part by part in ``Fraction``,
+    is nonzero, else 0."""
+    for j in range(len(coefficients), 0, -1):
+        vector = coefficients[j - 1]
+        if sum(a * x.re for a, x in zip(root, vector)) or sum(a * x.im for a, x in zip(root, vector)):
+            return j
+    return 0
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def point_counts(strata, dims):
+    """Per stratum, the number of its points over F_q as a polynomial in q
+    (rank * p + 1 coefficients by degree), from the flats of its root
+    system, given as ``dims``: each flat's kernel dimension.
+
+    Level i of a stratum with Levi chain L_1 <= .. <= L_p is the kernel of
+    L_i minus the hyperplanes of the roots of order exactly i, that is of
+    L_{i+1} outside L_i, with L_{p+1} all roots.  Its points number
+    chi_[L_i, L_{i+1}](q) = sum over flats L_i <= H <= L_{i+1} of
+    mu(L_i, H) q^{dim ker H} (the finite-field method: Crapo-Rota 1970,
+    Athanasiadis 1996), and the stratum is the product of its levels.
+    """
+    flats = sorted(dims, key=len)  # the empty flat first, all roots last
+    rank, top = dims[frozenset()], flats[-1]
+    intervals = {}
+
+    def interval_poly(low, high):
+        if (low, high) not in intervals:
+            mu, coeffs = {}, [0] * (rank + 1)
+            for flat in flats:  # sorted by size, so every H < flat comes first
+                if low <= flat <= high:
+                    mu[flat] = 1 if flat == low else -sum(m for h, m in mu.items() if h < flat)
+                    coeffs[dims[flat]] += mu[flat]
+            intervals[low, high] = coeffs
+        return intervals[low, high]
+
+    counts = {}
+    for s in strata:
+        chain = s.filtration.levels + (top,)
+        poly = [1]
+        for low, high in zip(chain, chain[1:]):
+            poly = _poly_mul(poly, interval_poly(low, high))
+        counts[s.orders.orders] = poly
+    return counts
 
 
 def mat_identity(n, one, zero):

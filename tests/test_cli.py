@@ -442,6 +442,25 @@ class TestErrorChannel:
             assert payload["error"] == "TooLarge"
             assert "Traceback" not in result.stderr
 
+    def test_strata_past_the_entry_budget_exit_three_promptly(self):
+        """60 roots +-1..+-30 on one line at p = 1,024: 1,025 strata, within the
+        strata budget, would list 31.5 million entries, 92 MB of JSON."""
+        line = RootSystem(1, [[k] for k in range(-30, 31) if k])
+        document = {"rootsystem": root_system_to_json(line), "p": 1024}
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "irrtypes.cli", "strata", "enumerate"],
+            input=json.dumps(document), capture_output=True, text=True,
+            env=_src_env(), timeout=10,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert result.returncode == 3
+        assert result.stdout == (
+            '{"error":"TooLarge","message":"pole bound 1024 gives strata of 31549500 entries; '
+            'budget is 2097152"}\n'
+        )
+        assert result.stderr == ""
+
     def _assert_refused_promptly(self, argv, document):
         start = time.perf_counter()
         result = subprocess.run(

@@ -446,17 +446,29 @@ def test_the_import_guard_sees_each_kind(tmp_path):
 _WHOLE_ELIMINATIONS = {"span_closure", "kernel_intersection_dim", "kernel_lattice_basis"}
 
 
+def _callers(tree, name, owner):
+    """The functions of ``tree`` that call ``name``, bare, as an attribute or
+    under an imported alias, sorted; ``<module>`` for a call outside any function."""
+    names = {name} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == name and alias.asname
+    }
+    return sorted({
+        owner.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) == name)
+    })
+
+
 def _eliminations(path):
     """The functions that call ``_echelon``, and each import of a public
     routine that runs its own elimination, sorted."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    owner = _owners(tree)
-    callers = sorted({
-        owner.get(id(node), "<module>")
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == "_echelon" or getattr(node.func, "attr", None) == "_echelon")
-    })
+    callers = _callers(tree, "_echelon", _owners(tree))
     imports = sorted(
         alias.name
         for node in ast.walk(tree)
@@ -484,3 +496,38 @@ def test_the_elimination_guard_sees_each_kind(tmp_path):
         "_echelon(None, [])\n"
     )
     assert _eliminations(path) == (["<module>", "inner", "outer"], ["kernel_lattice_basis", "span_closure"])
+
+
+def _library_callers(sources, name):
+    """``module.function`` for each function of ``sources`` that calls ``name``."""
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}.{fn}" for fn in _callers(tree, name, _owners(tree))]
+    return sorted(found)
+
+
+def test_one_integer_row_format_and_one_order_rule():
+    """Root rows are plain ints: only ``rootsystems._echelon`` lifts them to
+    the Gaussian pairs of ``_gi_rref``.  Orders come from the integer rule,
+    so the exact ``root_pairing`` serves only where its value is used."""
+    sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) == 11
+    rootsystems_py = [path for path in sources if path.name == "rootsystems.py"]
+    assert _library_callers(rootsystems_py, "_gi_rref") == ["rootsystems._echelon"]
+    assert _library_callers(sources, "root_pairing") == ["irregular.evaluate_root", "symmetry.g1_slice"]
+
+
+def test_the_caller_guard_sees_each_kind(tmp_path):
+    (tmp_path / "first.py").write_text(
+        "from .irregular import root_pairing as pair\n"
+        "def outer(q):\n    def inner():\n        return irregular.root_pairing(q, [])\n"
+        "    return inner()\n"
+        "def aliased(q):\n    return pair(q, [])\n"
+        "root_pairing(None, [])\n"
+        "def quiet(q):\n    return root_pairing\n"
+    )
+    (tmp_path / "second.py").write_text("class Holder:\n    def method(self):\n        return self.root_pairing()\n")
+    assert _library_callers(sorted(tmp_path.glob("*.py")), "root_pairing") == [
+        "first.<module>", "first.aliased", "first.inner", "second.method",
+    ]

@@ -1,5 +1,7 @@
 """Multivariate polynomial ring over the Gaussian rationals."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,19 @@ class TestConstruction:
     def test_zero_coefficients_dropped(self):
         p = MultiPoly(V, {(1, 0): G_ZERO, (0, 1): G_ONE})
         assert p == z()
+
+    def test_terms_cannot_change_after_the_checks(self):
+        """The terms are read-only: a set keeps finding the polynomial, and no
+        zero term gets past the constructor, on copies and pickles too."""
+        p = MultiPoly(("x",), {(1,): gauss(2)})
+        held = {p}
+        for value in (p, copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            with pytest.raises(TypeError):
+                value.terms[(1,)] = gauss(0)
+            with pytest.raises(TypeError):
+                del value.terms[(1,)]
+            assert value in held and value == p and hash(value) == hash(p)
+            assert repr(value) == "2*x" and value.terms[(1,)] == gauss(2) and value.terms.get((0,)) is None
 
     def test_duplicate_variables_rejected(self):
         with pytest.raises(MalformedInput):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from fraction_oracles import point_counts
 
 from irrtypes import (
     IrregularType,
@@ -154,6 +155,27 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             enumerate_strata(A2, 2)
 
+    @pytest.mark.parametrize(
+        "system,p,entries",
+        [
+            (A2, 2, 132),
+            (build_root_system("D", 4), 3, 88992),
+            (RootSystem(1, [[k] for k in range(-30, 31) if k]), 3, 600),
+        ],
+        ids=["A2", "D4", "line"],
+    )
+    def test_entry_budget_counts_exactly(self, monkeypatch, system, p, entries):
+        """Counted before anything is listed: per stratum, one order per root
+        and every member of every level."""
+        listed = enumerate_strata(system, p)
+        assert sum(len(s.orders.orders) + sum(map(len, s.filtration.levels)) for s in listed) == entries
+        monkeypatch.setattr(strata, "STRATA_ENTRY_BUDGET", entries)
+        assert enumerate_strata(system, p) == listed
+        monkeypatch.setattr(strata, "STRATA_ENTRY_BUDGET", entries - 1)
+        message = f"^pole bound {p} gives strata of {entries} entries; budget is {entries - 1}$"
+        with pytest.raises(TooLarge, match=message):
+            enumerate_strata(system, p)
+
     def test_pole_bound_budget_holds_without_roots(self):
         # One stratum for every p, so only the pole bound budget stops it.
         empty = RootSystem(1, [])
@@ -192,48 +214,10 @@ class TestEnumeration:
         assert [s.filtration.levels for s in enumerate_strata(system, p)] == [tuple(c) for c in chains]
 
 
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
 def _point_counts(system, p):
-    """Per stratum, the number of its points over F_q as a polynomial in q
-    (rank * p + 1 coefficients by degree).
-
-    Level i of a stratum with Levi chain L_1 <= .. <= L_p is the kernel of
-    L_i minus the hyperplanes of the roots of order exactly i, that is of
-    L_{i+1} outside L_i, with L_{p+1} all roots.  Its points number
-    chi_[L_i, L_{i+1}](q) = sum over flats L_i <= H <= L_{i+1} of
-    mu(L_i, H) q^{dim ker H} (the finite-field method: Crapo-Rota 1970,
-    Athanasiadis 1996), and the stratum is the product of its levels.
-    """
-    flats = [levi.members for levi in enumerate_levi(system)]
-    dims = {flat: kernel_intersection_dim(system, flat) for flat in flats}
-    intervals = {}
-
-    def interval_poly(low, high):
-        if (low, high) not in intervals:
-            mu, coeffs = {}, [0] * (system.rank + 1)
-            for flat in flats:  # sorted by size, so every H < flat comes first
-                if low <= flat <= high:
-                    mu[flat] = 1 if flat == low else -sum(m for h, m in mu.items() if h < flat)
-                    coeffs[dims[flat]] += mu[flat]
-            intervals[low, high] = coeffs
-        return intervals[low, high]
-
-    top = frozenset(range(len(system)))
-    counts = {}
-    for s in enumerate_strata(system, p):
-        chain = s.filtration.levels + (top,)
-        poly = [1]
-        for low, high in zip(chain, chain[1:]):
-            poly = _poly_mul(poly, interval_poly(low, high))
-        counts[s.orders.orders] = poly
-    return counts
+    """``fraction_oracles.point_counts`` of the strata at p, from the library's flats."""
+    dims = {levi.members: kernel_intersection_dim(system, levi.members) for levi in enumerate_levi(system)}
+    return point_counts(enumerate_strata(system, p), dims)
 
 
 def _pair_mod(root, vector, q):
