@@ -21,8 +21,9 @@ matrices, as ``(re, im)`` pairs, over one positive integer denominator.
 ``_Lau.matrix`` reduces each order once on the way out (``from_lau``),
 which wraps the result without re-running the constructor's checks.
 Inverses and eigenvectors are read off the library's one elimination,
-the fraction-free Gauss-Jordan ``scalars._gi_rref``, which charges this
-module's work budget.
+the fraction-free Gauss-Jordan ``scalars._gi_rref``; like every
+elimination in the library, each draws on a ``scalars._Work`` meter, here
+one of this module's ``GERM_WORK_BUDGET``.
 Eigenvalues of the leading coefficient are found without factoring:
 Hensel lifting of the roots of its characteristic polynomial, scaled to
 be monic over Z[i], at a prime p = 1 (mod 4), then an exact check of
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Module objects, looked up at call time: ``extract_irregular_type``,
 # ``gl_cartan_system`` and the series-pair germ form load them on first use.
@@ -68,6 +69,7 @@ from .scalars import (
     _as_object,
     _bare,
     _bits,
+    _common_denominator,
     _gi_mul,
     _gi_rref,
     _gi_sub,
@@ -75,7 +77,7 @@ from .scalars import (
     _set_fields,
     _vector_from_json,
     _vector_to_json,
-    _word_cost,
+    _Work,
     gauss,
 )
 
@@ -121,14 +123,9 @@ def _from_gi(value: GInt, den: int) -> GaussianRational:
     return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
 
 
-def _common_denominator(values, max_bits: int) -> int:
-    """lcm of the denominators; ``TooLarge`` as soon as it passes ``max_bits``."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.re.denominator, v.im.denominator)
-        if den.bit_length() > max_bits:
-            raise TooLarge(f"common denominator exceeds {max_bits} bits")
-    return den
+def _parts(matrices: Iterable[Sequence[Sequence[GaussianRational]]]) -> Iterator[Fraction]:
+    """The real and imaginary part of every entry, for ``scalars._common_denominator``."""
+    return (part for m in matrices for row in m for x in row for part in (x.re, x.im))
 
 
 # Work one gauge transform, diagonalization or gauge composition may do, in
@@ -139,28 +136,15 @@ def _common_denominator(values, max_bits: int) -> int:
 GERM_WORK_BUDGET = 10**9
 
 
-class _Work:
-    """What one public call may still spend; each step is charged before it runs."""
+def _germ_work() -> _Work:
+    """The meter of one gauge transform, diagonalization or gauge composition."""
+    return _Work(GERM_WORK_BUDGET, f"connection work exceeds the budget of {GERM_WORK_BUDGET}")
 
-    __slots__ = ("left",)
 
-    def __init__(self) -> None:
-        self.left = GERM_WORK_BUDGET
-
-    def charge(self, operations: int, bits: int) -> None:
-        """Pay for ``operations`` multiplications or gcds of operands totalling ``bits`` bits."""
-        self.left -= _word_cost(operations, bits)
-        if self.left < 0:
-            raise TooLarge(f"connection work exceeds the budget of {GERM_WORK_BUDGET}")
-
-    def charge_reduction(self, lau: "_Lau") -> None:
-        """Pay for reducing each entry of ``lau`` over its denominator: two gcds."""
-        bits = _bits(lau.coeffs.values()) + lau.den.bit_length()
-        self.charge(2 * lau.r**2 * len(lau.coeffs), bits)
-
-    def max_bits(self, r: int) -> int:
-        """Operand size past which one more r x r product cannot be paid."""
-        return 64 * isqrt(self.left // r**3)
+def _charge_reduction(work: _Work, lau: "_Lau") -> None:
+    """Pay for reducing each entry of ``lau`` over its denominator: two gcds."""
+    bits = _bits(lau.coeffs.values()) + lau.den.bit_length()
+    work.charge(2 * lau.r**2 * len(lau.coeffs), bits)
 
 
 def _gi_round_div(a: GInt, b: GInt) -> GInt:
@@ -263,8 +247,7 @@ class _Lau:
         ``TooLarge`` when the common denominator alone would make one
         product cost more than ``work`` has left.
         """
-        values = (x for m in matrices.values() for row in m for x in row)
-        den = _common_denominator(values, work.max_bits(r))
+        den = _common_denominator(_parts(matrices.values()), work.max_bits(r))
         coeffs = {l: [[_to_gi(x, den) for x in row] for row in m] for l, m in matrices.items()}
         return _Lau(r, coeffs, den, hi, floor)
 
@@ -376,8 +359,8 @@ class GaugeElement(_Record):
         if len(lengths) != 1 or min(lengths) < 1:
             raise MalformedInput("gauge entries must share one positive order")
         window = tuple(_coerce_matrix(m) for m in _by_order(entries))
-        work = _Work()
-        den = _common_denominator((x for row in window[0] for x in row), work.max_bits(r))
+        work = _germ_work()
+        den = _common_denominator(_parts(window[:1]), work.max_bits(r))
         # raises NotAUnit when singular
         _gi_mat_inverse([[_to_gi(x, den) for x in row] for row in window[0]], work)
         _set_fields(self, r=r, order=len(window), _window=window)
@@ -420,14 +403,14 @@ class GaugeElement(_Record):
 
 def gauge_compose(second: GaugeElement, first: GaugeElement) -> GaugeElement:
     """Polynomial product second * first: apply ``first``, then ``second``."""
-    return _compose(second, first, _Work())
+    return _compose(second, first, _germ_work())
 
 
 def _compose(second: GaugeElement, first: GaugeElement, work: _Work) -> GaugeElement:
     if second.r != first.r:
         raise ShapeMismatch("gauge sizes differ")
     prod = second.to_lau(work).mul(first.to_lau(work), work)
-    work.charge_reduction(prod)
+    _charge_reduction(work, prod)
     return GaugeElement.from_lau(prod, second.order + first.order - 1)
 
 
@@ -545,7 +528,7 @@ def gauge_transform(germ: ConnectionGerm, g: GaugeElement) -> ConnectionGerm:
     input window.  ``TooLarge`` when the products would exceed
     ``GERM_WORK_BUDGET``.
     """
-    return _transform(germ, g, _Work())
+    return _transform(germ, g, _germ_work())
 
 
 def _transform(germ: ConnectionGerm, g: GaugeElement, work: _Work) -> ConnectionGerm:
@@ -555,7 +538,7 @@ def _transform(germ: ConnectionGerm, g: GaugeElement, work: _Work) -> Connection
     glau = g.to_lau(work)
     ginv = _series_matrix_inverse(glau, germ.precision + depth, work)
     total = glau.mul(germ.to_lau(work), work).add(glau.derivative()).mul(ginv, work)
-    work.charge_reduction(total)
+    _charge_reduction(work, total)
     return ConnectionGerm.from_lau(total, germ.pole_bound)
 
 
@@ -725,7 +708,7 @@ def _qi_eigenvalues(matrix: GMatrix, work: _Work) -> List[GaussianRational]:
       outside the field.
     """
     n = len(matrix)
-    c = _common_denominator((x for row in matrix for x in row), HENSEL_BITS_BUDGET)
+    c = _common_denominator(_parts([matrix]), HENSEL_BITS_BUDGET)
     scaled = [[_to_gi(x, c) for x in row] for row in matrix]
     bound = max(1, max(sum(abs(re) + abs(im) for re, im in row) for row in scaled))
     if (4 * bound * bound).bit_length() > HENSEL_BITS_BUDGET:
@@ -792,18 +775,19 @@ def leading_regular_diagonalize(
         if len({(d.re, d.im) for d in diag}) != r:
             raise LeadingNotRegular("repeated leading diagonal entries")
         return GaugeElement.identity(r), germ
-    work = _Work()
+    work = _germ_work()
     values = _qi_eigenvalues(leading, work)
     # The change of basis has the eigenvectors v_j, scaled to lead with 1,
     # as columns: with V their integer matrix and L = diag(lead_j), the
     # constant gauge is its inverse L V^{-1}.
-    c = _common_denominator((x for row in leading for x in row), HENSEL_BITS_BUDGET)
+    c = _common_denominator(_parts([leading]), HENSEL_BITS_BUDGET)
     scaled = [[_to_gi(x, c) for x in row] for row in leading]
     vectors = [_eigenvector(scaled, _to_gi(lam, c), work) for lam in values]
     y, d = _gi_mat_inverse([[v[i] for v in vectors] for i in range(r)], work)
     leads = [next(x for x in v if x != (0, 0)) for v in vectors]
-    constant = [[_from_gi(_gi_mul(leads[j], y[j][i]), d) for i in range(r)] for j in range(r)]
-    total = GaugeElement.from_constant(constant)
+    constant = tuple(tuple(_from_gi(_gi_mul(leads[j], y[j][i]), d) for i in range(r)) for j in range(r))
+    # built from checked parts: V and its inverse are units
+    total = _bare(GaugeElement, r=r, order=1, _window=(constant,))
     current = _transform(germ, total, work)
     for j in range(1, k):
         target = j - k - 1

@@ -10,10 +10,11 @@ sets are the combinatorial shadow used by the stratification.
 Every root order comes from one rule, ``_row_order``, in integers: a
 coefficient vector is scaled by the lcm of its denominators into an
 integer real part and, when nonzero, an integer imaginary part
-(``_integer_parts``), and a root's order is the highest level whose
-parts its primitive integer row (``RootSystem._rows``) does not all
-kill.  Scaling changes no zero pairing, so the rule asks only what the
-exact pairing would; ``root_pairing`` is kept for the values themselves.
+(``_integer_parts``, by ``scalars._integer_form`` under its bound), and a
+root's order is the highest level whose parts its primitive integer row
+(``RootSystem._rows``) does not all kill.  Scaling changes no zero
+pairing, so the rule asks only what the exact pairing would;
+``root_pairing`` is kept for the values themselves.
 
 Moving the pole to infinity changes the coordinate, not the data: a
 type at infinity lists the coefficients of z^1 .. z^p and has the same
@@ -28,7 +29,6 @@ across the base.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import MalformedInput
@@ -42,6 +42,7 @@ from .scalars import (
     _as_object,
     _as_str,
     _bare,
+    _integer_form,
     _Record,
     _set_fields,
     _vector_from_json,
@@ -152,9 +153,8 @@ def _integer_parts(vector: Sequence[GaussianRational]) -> List[List[int]]:
     """``vector`` times the lcm of its denominators: its integer real part, and
     its imaginary part when that is nonzero.  A real row kills the vector
     exactly when it kills every part."""
-    scale = lcm(*(x.re.denominator for x in vector), *(x.im.denominator for x in vector))
-    re = [x.re.numerator * (scale // x.re.denominator) for x in vector]
-    im = [x.im.numerator * (scale // x.im.denominator) for x in vector]
+    scaled = _integer_form([x.re for x in vector] + [x.im for x in vector])
+    re, im = scaled[: len(vector)], scaled[len(vector) :]
     return [re, im] if any(im) else [re]
 
 

@@ -14,10 +14,14 @@ of those.  These index the strata of irregular-type spaces.
 Each root is stored once more as its positive multiple that is a
 primitive integer row, ``RootSystem._rows``, a tuple of plain ints: the
 same spans and kernels, negation pairs kept, and the same zero pairings,
-so every root order question reads these rows.  Spans, ranks and kernels
-are read off the library's one elimination, ``scalars._gi_rref``, which
-works on Gaussian-integer pairs; ``_echelon`` alone lifts the rows to
-(x, 0) pairs for it and reads its result back as plain ints.
+so every root order question reads these rows; ``scalars._integer_form``
+scales them, under its bound.  Spans, ranks and kernels are read off the
+library's one elimination, ``scalars._gi_rref``, which works on
+Gaussian-integer pairs; ``_echelon`` alone lifts the rows to (x, 0) pairs
+for it and reads its result back as plain ints.  Every elimination draws
+on a ``scalars._Work`` meter: each public call that eliminates, such as a
+walk of the flat lattice, a span closure or a filtration check, gets one
+meter of ``ROOT_WORK_BUDGET`` for all its eliminations.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import MalformedInput, TooLarge, Unsupported
@@ -36,8 +40,10 @@ from .scalars import (
     _as_str,
     _bare,
     _gi_rref,
+    _integer_form,
     _Record,
     _set_fields,
+    _Work,
     rat_from_str,
     rat_to_str,
 )
@@ -53,6 +59,19 @@ ENUMERATION_GUARD = 60
 # after about 1.5 s on a 2-vCPU machine.  B5 (648 flats) and A6 (877) are
 # answered; D6 (2,546) and A7 (4,140) are refused.
 FLAT_BUDGET = 1000
+# Work the eliminations of one public call may do, in ``scalars._Work``
+# units: one walk of the flat lattice, span closure, filtration check,
+# kernel basis or rank, or one ``strata._levels``.  The walks of B5 and A6
+# spend 2.3 and 5.9 million; the 30 orthogonal pairs spend 3.0 million
+# before ``FLAT_BUDGET`` refuses them.  Six root pairs in rank 6 with dense
+# 4,300-digit entries, whose walk would run for over a minute, are refused
+# within half a second on a 2-vCPU machine.
+ROOT_WORK_BUDGET = 10**9
+
+
+def _root_work() -> _Work:
+    """The meter of one public call's eliminations."""
+    return _Work(ROOT_WORK_BUDGET, f"root system work exceeds the budget of {ROOT_WORK_BUDGET}")
 
 
 class RootSystem(_Record):
@@ -117,26 +136,26 @@ class RootSystem(_Record):
         return self._index[vec]
 
     def semisimple_rank(self) -> int:
-        return len(_echelon(self, range(len(self)))[1])
+        return len(_echelon(self, range(len(self)), _root_work())[1])
 
 
 def _integer_row(vec: RootVector) -> Tuple[int, ...]:
     """``vec`` times a positive rational: a primitive integer row."""
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    ints = _integer_form(vec)
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
-def _echelon(system: RootSystem, members: Iterable[int]) -> Tuple[Echelon, List[int], int]:
-    """Pivot rows, pivot columns and p of the chosen roots' fraction-free RREF.
+def _echelon(system: RootSystem, members: Iterable[int], work: _Work) -> Tuple[Echelon, List[int], int]:
+    """Pivot rows, pivot columns and p of the chosen roots' fraction-free RREF,
+    charged to ``work``.
 
     Row j has p at pivot column j and 0 at the others.  Integer rows stay
     real through the elimination, so the (x, 0) pairs it works on are made
     here and read back as plain ints here, and nowhere else.
     """
     lifted = [[(x, 0) for x in system._rows[i]] for i in sorted(members)]
-    rows, pivots, p = _gi_rref(lifted, system.rank)
+    rows, pivots, p = _gi_rref(lifted, system.rank, work)
     return [[x for x, _ in row] for row in rows[: len(pivots)]], pivots, p[0]
 
 
@@ -248,11 +267,16 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 def span_closure(system: RootSystem, members: Iterable[int]) -> FrozenSet[int]:
     """Indices of all roots inside the rational span of the given ones."""
+    return _span_closure(system, members, _root_work())
+
+
+def _span_closure(system: RootSystem, members: Iterable[int], work: _Work) -> FrozenSet[int]:
+    """``span_closure``, its elimination charged to ``work``."""
     chosen = frozenset(members)
     for i in sorted(chosen):
         if not 0 <= i < len(system):
             raise MalformedInput(f"root index {i} out of range")
-    return _closure(system, chosen, *_echelon(system, chosen))
+    return _closure(system, chosen, *_echelon(system, chosen, work))
 
 
 def _closure(system: RootSystem, chosen: frozenset, rows: Echelon, pivots: List[int], p: int) -> frozenset:
@@ -299,8 +323,9 @@ class LeviFiltration(_Record):
         for earlier, later in zip(frozen, frozen[1:]):
             if not earlier <= later:
                 raise MalformedInput("filtration levels must be nested")
+        work = _root_work()
         for level in dict.fromkeys(frozen):
-            if span_closure(system, level) != level:
+            if _span_closure(system, level, work) != level:
                 raise MalformedInput("every filtration level must be span-closed")
         _set_fields(self, system=system, levels=tuple(frozen))
 
@@ -322,9 +347,11 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
     F would only give that cover again, so it is skipped: each flat costs
     one closure per cover rather than one per root outside it.  A closure
     is a flat, so each is wrapped as a Levi subsystem, not checked again.
-    Raises ``TooLarge`` on finding more than ``FLAT_BUDGET`` flats.
+    Raises ``TooLarge`` on finding more than ``FLAT_BUDGET`` flats, or
+    when its closures together overdraw ``ROOT_WORK_BUDGET``.
     """
     check_enumeration_guard(len(system))
+    work = _root_work()
     seen = {frozenset()}
     frontier = deque([frozenset()])
     while frontier:
@@ -333,7 +360,7 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
         for i in range(len(system)):
             if i in covered:
                 continue
-            cover = span_closure(system, base | {i})
+            cover = _span_closure(system, base | {i}, work)
             covered |= cover
             if cover not in seen:
                 if len(seen) == FLAT_BUDGET:
@@ -344,16 +371,12 @@ def enumerate_levi(system: RootSystem) -> List[LeviSubsystem]:
     return [_bare(LeviSubsystem, system=system, members=members) for members in ordered]
 
 
-def kernel_intersection_dim(system: RootSystem, members: Iterable[int]) -> int:
-    """Dimension of the joint kernel of the chosen roots inside Q^rank."""
-    return system.rank - len(_echelon(system, set(members))[1])
-
-
 def kernel_lattice_basis(system: RootSystem, members: Iterable[int]) -> List[List[Fraction]]:
     """Primitive integer basis of the joint kernel, deterministic: for each
     free column f, p at f and -r_j[f] at pivot column j, over its content,
     with its first nonzero entry positive."""
-    return [[Fraction(x) for x in v] for v in _kernel_basis(system, *_echelon(system, set(members)))]
+    basis = _kernel_basis(system, *_echelon(system, set(members), _root_work()))
+    return [[Fraction(x) for x in v] for v in basis]
 
 
 def _kernel_basis(system: RootSystem, rows: Echelon, pivots: List[int], p: int) -> List[List[int]]:

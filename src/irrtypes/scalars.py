@@ -19,14 +19,20 @@ on the way in.
 
 So does the library's one elimination, ``_gi_rref``: ranks, kernels and
 spans for :mod:`irrtypes.rootsystems`, inverses and eigenvectors for
-:mod:`irrtypes.connections`.
+:mod:`irrtypes.connections`.  Every call of it charges a ``_Work``, the
+library's one work meter, which also carries the substitution and witness
+search budgets, all under its one word-cost rule.  Rational vectors reach
+the integers by one scaling rule: ``_common_denominator`` stops once the
+lcm passes a bit bound, and ``_integer_form`` scales root rows and
+coefficient vectors under ``INTEGER_FORM_BUDGET``.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from math import isqrt, lcm
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import MalformedInput, NotAUnit, TooLarge
 
@@ -308,11 +314,50 @@ def _bits(matrices) -> int:
     return max((x.bit_length() for m in matrices for row in m for g in row for x in g), default=0)
 
 
-def _word_cost(operations: int, bits: int) -> int:
-    """The library's one work rule: ``operations`` multiplications or gcds of
-    operands totalling ``bits`` bits cost (1 + bits/64)^2 word operations each."""
-    words = 1 + bits // 64
-    return operations * words * words
+class _Work:
+    """What one public call may still spend, in word operations; each step is
+    charged before it runs, and ``TooLarge`` with ``message`` is raised once
+    ``limit`` is overdrawn.  The library's one work rule: a multiplication or
+    gcd of operands totalling b bits costs (1 + b/64)^2 word operations."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, limit: int, message: str) -> None:
+        self.left, self.message = limit, message
+
+    def charge(self, operations: int, bits: int = 0) -> None:
+        """Pay for ``operations`` multiplications or gcds of operands totalling ``bits`` bits."""
+        words = 1 + bits // 64
+        self.left -= operations * words * words
+        if self.left < 0:
+            raise TooLarge(self.message)
+
+    def max_bits(self, r: int) -> int:
+        """Operand size past which one more r x r product cannot be paid."""
+        return 64 * isqrt(self.left // r**3)
+
+
+def _common_denominator(values: Iterable[Fraction], max_bits: int) -> int:
+    """lcm of the denominators; ``TooLarge`` as soon as it passes ``max_bits``."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+        if den.bit_length() > max_bits:
+            raise TooLarge(f"common denominator exceeds {max_bits} bits")
+    return den
+
+
+# Most bits the integer form of one rational vector may hold: its length
+# times the bits of its common denominator.  Literals have at most 4,300
+# digits, so no vector of 17 entries or fewer is refused.
+INTEGER_FORM_BUDGET = 1 << 22
+
+
+def _integer_form(values: Sequence[Fraction]) -> List[int]:
+    """``values`` times the lcm of their denominators, as ints; ``TooLarge``
+    when that form would hold more than ``INTEGER_FORM_BUDGET`` bits."""
+    den = _common_denominator(values, INTEGER_FORM_BUDGET // max(1, len(values)))
+    return [x.numerator * (den // x.denominator) for x in values]
 
 
 def _gi_mul(a: GInt, b: GInt) -> GInt:
@@ -329,16 +374,16 @@ def _gi_exact_div(a: GInt, b: GInt) -> GInt:
     return ((a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n)
 
 
-def _gi_rref(m: Sequence[Sequence[GInt]], ncols: int, work=None) -> Tuple[IMatrix, List[int], GInt]:
+def _gi_rref(m: Sequence[Sequence[GInt]], ncols: int, work: _Work) -> Tuple[IMatrix, List[int], GInt]:
     """Fraction-free Gauss-Jordan over the Gaussian integers, on the first ``ncols`` columns.
 
     Bareiss (Math. Comp. 22, 1968).  Returns (rows, pivot columns, p).
     Every division by the previous pivot is exact; each pivot row ends
     with p at its own pivot column and zero at the others, and the rows
     past the rank are zero, so the pivot rows over p are the RREF.  For a
-    square m of full rank, p is its determinant up to sign.  A given
-    ``work`` (``connections._Work``) is charged for each pivot step
-    before it runs: an update of one entry costs about five multiplications.
+    square m of full rank, p is its determinant up to sign.  ``work`` is
+    charged for each pivot step before it runs: an update of one entry
+    costs about five multiplications.
     """
     rows = [list(row) for row in m]
     prev: GInt = (1, 0)
@@ -350,8 +395,7 @@ def _gi_rref(m: Sequence[Sequence[GInt]], ncols: int, work=None) -> Tuple[IMatri
             continue
         rows[k], rows[pivot] = rows[pivot], rows[k]
         p, row_k = rows[k][col], rows[k]
-        if work is not None:
-            work.charge(5 * len(rows) * len(row_k), 2 * _bits([[row_k]]))
+        work.charge(5 * len(rows) * len(row_k), 2 * _bits([[row_k]]))
         for i in range(len(rows)):
             if i == k:
                 continue

@@ -38,9 +38,10 @@ from .rootsystems import (
     _closure,
     _echelon,
     _kernel_basis,
+    _root_work,
     enumerate_levi,
 )
-from .scalars import _as_int, _as_list, _as_object, _bare, _Record, _set_fields
+from .scalars import _as_int, _as_list, _as_object, _bare, _Record, _set_fields, _Work
 
 WITNESS_HEIGHT_CAP = 64
 # Largest pole bound an order vector or an enumeration may carry: every
@@ -100,12 +101,13 @@ def _order_tuple(system: RootSystem, p: int, orders: Sequence[int] | RootOrderVe
 
 
 def _levels(system: RootSystem, p: int, tup: Tuple[int, ...]) -> Tuple[List[frozenset], dict]:
-    """Sublevel sets of an ``_order_tuple`` and the ``_echelon`` of each distinct one;
-    ``NotRelevant`` unless it is symmetric under negation and each level span-closed."""
+    """Sublevel sets of an ``_order_tuple`` and the ``_echelon`` of each distinct one,
+    all on one root work meter; ``NotRelevant`` unless it is symmetric under
+    negation and each level span-closed."""
     levels = sublevel_sets(system, p, tup)
-    echelons = {}
+    echelons, work = {}, _root_work()
     if any(tup[system.negation_index(i)] != d for i, d in enumerate(tup)) or any(
-        _closure(system, level, *echelons.setdefault(level, _echelon(system, level))) != level
+        _closure(system, level, *echelons.setdefault(level, _echelon(system, level, work))) != level
         for level in dict.fromkeys(levels)
     ):
         raise NotRelevant("order vector does not label a stratum")
@@ -254,30 +256,29 @@ def stratum_dimension(system: RootSystem, p: int, orders: Sequence[int] | RootOr
 
 
 def _search_off_hyperplanes(
-    basis: List[List[int]], avoid: List[Sequence[int]], dim: int, spent: int
-) -> Tuple[List[int], int]:
+    basis: List[List[int]], avoid: List[Sequence[int]], dim: int, work: _Work
+) -> List[int]:
     """Smallest-height integer combination of ``basis`` off every hyperplane
-    row . x = 0 of ``avoid``, and the search units spent, ``spent`` included.
+    row . x = 0 of ``avoid``.
 
     Height is the maximum absolute coefficient; ties break lexicographically
     over the coefficient tuples.  The zero combination is admissible when
     there is nothing to avoid.  Each row is paired with the basis once, so
     tuples are tested in integers and only the one returned is summed.
     Every tuple enumerated, skipped lower-height ones included, costs
-    t (1 + len(avoid)) units for t basis vectors, charged before its test.
+    t (1 + len(avoid)) units for t basis vectors, charged to ``work``
+    before its test.
     """
     t = len(basis)
     pairings = [[sum(x * y for x, y in zip(row, b)) for b in basis] for row in avoid]
     cost = t * (1 + len(avoid))
     for height in range(WITNESS_HEIGHT_CAP + 1):
         for coeffs in product(range(-height, height + 1), repeat=t):
-            spent += cost
-            if spent > WITNESS_SEARCH_BUDGET:
-                raise TooLarge(f"witness search exceeds the budget of {WITNESS_SEARCH_BUDGET} units")
+            work.charge(cost)
             if coeffs and max(abs(c) for c in coeffs) != height:
                 continue
             if all(sum(c * w for c, w in zip(coeffs, ws)) for ws in pairings):
-                return [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(dim)], spent
+                return [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(dim)]
         if t == 0:
             break
     raise SearchExhausted("no lattice vector clears the excluded hyperplanes")
@@ -299,12 +300,12 @@ def stratum_witness(system: RootSystem, p: int, orders: Sequence[int] | RootOrde
             f"witness of pole bound {p} in rank {system.rank} exceeds the budget of {WITNESS_BUDGET}"
         )
     levels, echelons = _levels(system, p, tup)
-    vectors, spent = [], 0
+    vectors = []
+    work = _Work(WITNESS_SEARCH_BUDGET, f"witness search exceeds the budget of {WITNESS_SEARCH_BUDGET} units")
     for i, below in enumerate(levels, 1):
         avoid = [system._rows[a] for a, d in enumerate(tup) if d == i and a < system.negation_index(a)]
         basis = _kernel_basis(system, *echelons[below])
-        choice, spent = _search_off_hyperplanes(basis, avoid, system.rank, spent)
-        vectors.append(choice)
+        vectors.append(_search_off_hyperplanes(basis, avoid, system.rank, work))
     if tuple(_row_order(row, [[v] for v in vectors]) for row in system._rows) != tup:
         raise SearchExhausted("witness search produced a point off the stratum")
     return IrregularType(system, p, vectors)

@@ -55,7 +55,7 @@ from .scalars import (
     _as_object,
     _Record,
     _set_fields,
-    _word_cost,
+    _Work,
 )
 from .strata import is_relevant
 
@@ -106,8 +106,8 @@ class AffineG1(_Record):
 
 IDENTITY_G1 = AffineG1(G_ZERO, G_ONE)
 
-# Work one substitution may do, charged by the germ layer's rule
-# (``scalars._word_cost``): an operation on operands totalling b bits
+# Work one substitution may do, charged by the library's one work rule
+# (``scalars._Work``): an operation on operands totalling b bits
 # costs (1 + b/64)^2.  A1 at p = 100 with one-digit coefficients costs
 # about 10^8 (3 s on a 2-vCPU machine); p = 150, or p = 20 with 200-digit
 # coefficients, is refused.
@@ -134,8 +134,8 @@ def _check_g1_work(g: AffineG1, q: IrregularTypeAtInfinity) -> None:
     operations = sum(support) * (q.rootsystem.rank + 2 * top.bit_length())
     bits = top * (_bit_size(g.r) + _bit_size(g.s) + 1)
     bits += max(_bit_size(x) for j in support for x in q.coefficient(j))
-    if _word_cost(operations, bits) > G1_WORK_BUDGET:
-        raise TooLarge(f"affine substitution work exceeds the budget of {G1_WORK_BUDGET}")
+    work = _Work(G1_WORK_BUDGET, f"affine substitution work exceeds the budget of {G1_WORK_BUDGET}")
+    work.charge(operations, bits)
 
 
 def g1_act(g: AffineG1, q: IrregularTypeAtInfinity) -> IrregularTypeAtInfinity:

@@ -461,7 +461,7 @@ class TestErrorChannel:
         )
         assert result.stderr == ""
 
-    def _assert_refused_promptly(self, argv, document):
+    def _assert_refused_promptly(self, argv, document, message=None):
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "irrtypes.cli", *argv],
@@ -473,6 +473,7 @@ class TestErrorChannel:
         assert result.stdout.count("\n") == 1
         payload = json.loads(result.stdout)
         assert set(payload) == {"error", "message"} and payload["error"] == "TooLarge"
+        assert message is None or payload["message"] == message
         assert result.stderr == ""
 
     @staticmethod
@@ -500,6 +501,47 @@ class TestErrorChannel:
         # Zero coefficients cost nothing: only A_1 and A_2 of 1,000 are set.
         sparse = IrregularTypeAtInfinity(A1, 1000, [[1, 0], [1, 0]] + [[0, 0]] * 998)
         assert symmetry.g1_stabilizer_order(sparse) == 2
+
+    @staticmethod
+    def _dense_pairs(seed=6, rank=6, digits=4300):
+        """``rank`` root pairs +-v in Q^rank, each v with random dense entries
+        of ``digits`` digits: 310 KB of JSON."""
+        rng = random.Random(seed)
+        roots = []
+        for _ in range(rank):
+            v = [rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(rank)]
+            roots += [[str(x) for x in v], [str(-x) for x in v]]
+        return {"rank": rank, "roots": roots, "family": None}
+
+    @staticmethod
+    def _tiny_entries(count):
+        """1/(10^4299 + 2k + 1) for k < count: 4,300-digit denominators with a
+        common denominator of about 14,300 bits per entry."""
+        return [f"1/{10**4299 + 2 * k + 1}" for k in range(count)]
+
+    @pytest.mark.parametrize("argv", [["levi", "list"], ["strata", "enumerate"]], ids=["levi", "strata"])
+    def test_dense_root_pairs_exit_three_promptly(self, argv):
+        """Unmetered, the eliminations of these flats run for about a minute;
+        the root work budget refuses the request at its first costly pivot steps."""
+        system = self._dense_pairs()
+        document = system if argv[0] == "levi" else {"rootsystem": system, "p": 1}
+        self._assert_refused_promptly(argv, document, "root system work exceeds the budget of 1000000000")
+
+    def test_roots_with_a_huge_common_denominator_exit_three_promptly(self):
+        """+-v in Q^50 with v_k = 1/(10^4299 + 2k + 1), 0.43 MB: unbounded, scaling
+        v to integers takes 20 s, and listing its flats 25 s."""
+        v = self._tiny_entries(50)
+        document = {"rank": 50, "roots": [v, ["-" + x for x in v]], "family": None}
+        self._assert_refused_promptly(["levi", "list"], document, "common denominator exceeds 83886 bits")
+
+    def test_coefficients_with_a_huge_common_denominator_exit_three_promptly(self):
+        """+-(e1 - e2) in Q^200 with one coefficient vector of such entries,
+        0.87 MB: unbounded, classifying it takes 26 s."""
+        zeros = ["0"] * 198
+        system = {"rank": 200, "roots": [["1", "-1"] + zeros, ["-1", "1"] + zeros], "family": None}
+        coefficients = [[{"re": x, "im": "0"} for x in self._tiny_entries(200)]]
+        document = {"rootsystem": system, "p": 1, "coefficients": coefficients}
+        self._assert_refused_promptly(["classify"], document, "common denominator exceeds 10485 bits")
 
     def test_witness_in_a_large_rank_exits_three_promptly(self):
         """Rank 4,000 with no roots: one kernel basis of 4,000 vectors."""

@@ -192,6 +192,24 @@ class TestGaugeElement:
         assert c.entries[1][1] == (gauss(1), gauss(6))
         assert c.order == 2
 
+    def test_diagonalize_does_not_recheck_its_constant_gauge(self, monkeypatch):
+        """The constant gauge L V^{-1} is built from checked parts, so the
+        public constructor, which inverts its constant term again, never runs."""
+        germ = ConnectionGerm.from_order_dict(2, 1, 1, {-2: [[gauss(1), gauss(1)], [gauss(0), gauss(2)]]})
+        calls = []
+        init = GaugeElement.__init__
+
+        def counted(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(GaugeElement, "__init__", counted)
+        g, moved = leading_regular_diagonalize(germ)
+        assert calls == []
+        assert g.order == 1 and is_untwisted_in_basis(moved)
+        lead = moved.coefficient_matrix(-2)
+        assert [lead[0][0], lead[1][1]] == [gauss(1), gauss(2)] and not lead[0][1] and not lead[1][0]
+
     def test_entries_view_is_read_only(self):
         g = GaugeElement(1, [[[gauss(1), gauss(2)]]])
         with pytest.raises(AttributeError):
@@ -516,7 +534,7 @@ def _sympy_spectrum(matrix):
 
 def _spectrum(matrix):
     try:
-        return connections._qi_eigenvalues(matrix, connections._Work())
+        return connections._qi_eigenvalues(matrix, connections._germ_work())
     except (LeadingNotRegular, NotSplitOverField) as err:
         return type(err).__name__
 
@@ -564,13 +582,13 @@ class TestQiEigenvalues:
             block[i][i + 1], block[i + 1][i] = gauss(-a), gauss(1)  # x^2 + a
         matrix = _conjugated(random.Random(3), block)
         with pytest.raises(LeadingNotRegular):
-            connections._qi_eigenvalues(matrix, connections._Work())
+            connections._qi_eigenvalues(matrix, connections._germ_work())
 
     def test_hensel_bounds(self, monkeypatch):
         split = _conjugated(random.Random(5), [[gauss(1), G_ZERO], [G_ZERO, gauss(0, 2)]])
         huge = [[gauss(2**40000), G_ZERO], [gauss(1), gauss(3)]]
         with pytest.raises(TooLarge):
-            connections._qi_eigenvalues(huge, connections._Work())
+            connections._qi_eigenvalues(huge, connections._germ_work())
         monkeypatch.setattr(connections, "HENSEL_PRIME_BUDGET", 0)
         with pytest.raises(TooLarge):
-            connections._qi_eigenvalues(split, connections._Work())
+            connections._qi_eigenvalues(split, connections._germ_work())

@@ -443,12 +443,11 @@ def test_the_import_guard_sees_each_kind(tmp_path):
     ]
 
 
-_WHOLE_ELIMINATIONS = {"span_closure", "kernel_intersection_dim", "kernel_lattice_basis"}
+_WHOLE_ELIMINATIONS = {"span_closure", "kernel_lattice_basis"}
 
 
-def _callers(tree, name, owner):
-    """The functions of ``tree`` that call ``name``, bare, as an attribute or
-    under an imported alias, sorted; ``<module>`` for a call outside any function."""
+def _calls(tree, name):
+    """The calls of ``name`` in ``tree``, bare, as an attribute or under an imported alias."""
     names = {name} | {
         alias.asname
         for node in ast.walk(tree)
@@ -456,12 +455,18 @@ def _callers(tree, name, owner):
         for alias in node.names
         if alias.name == name and alias.asname
     }
-    return sorted({
-        owner.get(id(node), "<module>")
+    return [
+        node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) == name)
-    })
+    ]
+
+
+def _callers(tree, name, owner):
+    """The functions of ``tree`` that call ``name``, sorted; ``<module>`` for a
+    call outside any function."""
+    return sorted({owner.get(id(node), "<module>") for node in _calls(tree, name)})
 
 
 def _eliminations(path):
@@ -530,4 +535,61 @@ def test_the_caller_guard_sees_each_kind(tmp_path):
     (tmp_path / "second.py").write_text("class Holder:\n    def method(self):\n        return self.root_pairing()\n")
     assert _library_callers(sorted(tmp_path.glob("*.py")), "root_pairing") == [
         "first.<module>", "first.aliased", "first.inner", "second.method",
+    ]
+
+
+def _class_homes(sources, name):
+    """The module of each definition of a class called ``name``, nested ones
+    included, sorted."""
+    return sorted(
+        path.stem
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def _unmetered_calls(sources, name):
+    """``module.function`` for each call of ``name`` that passes no meter:
+    fewer than three positional arguments and no ``work`` keyword."""
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _owners(tree)
+        found += [
+            f"{path.stem}.{owner.get(id(node), '<module>')}"
+            for node in _calls(tree, name)
+            if len(node.args) < 3 and not any(k.arg == "work" for k in node.keywords)
+        ]
+    return sorted(found)
+
+
+def test_one_work_meter_charged_by_every_elimination():
+    """``scalars._Work`` is the library's one work accumulator, and every
+    elimination charges one."""
+    sources = sorted(Path(irrtypes.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) == 11
+    assert _class_homes(sources, "_Work") == ["scalars"]
+    assert _unmetered_calls(sources, "_gi_rref") == []
+    assert _library_callers(sources, "_gi_rref") == [
+        "connections._eigenvector", "connections._gi_mat_inverse", "rootsystems._echelon",
+    ]
+
+
+def test_the_meter_guards_see_each_kind(tmp_path):
+    (tmp_path / "scalars.py").write_text("class _Work:\n    pass\n")
+    (tmp_path / "first.py").write_text(
+        "from .scalars import _gi_rref as elim\n"
+        "def metered(m, work):\n    return _gi_rref(m, 2, work)\n"
+        "def keyword(m, work):\n    return scalars._gi_rref(m, 2, work=work)\n"
+        "def bare(m):\n    return _gi_rref(m, 2)\n"
+        "def aliased(m):\n    return elim(m, 2)\n"
+        "_gi_rref([], 0)\n"
+        "def outer():\n    class _Work:\n        pass\n"
+    )
+    (tmp_path / "second.py").write_text("class Holder:\n    def method(self):\n        return self._gi_rref([])\n")
+    sources = sorted(tmp_path.glob("*.py"))
+    assert _class_homes(sources, "_Work") == ["first", "scalars"]
+    assert _unmetered_calls(sources, "_gi_rref") == [
+        "first.<module>", "first.aliased", "first.bare", "second.method",
     ]

@@ -24,17 +24,17 @@ from irrtypes import (
     build_root_system,
     enumerate_levi,
     span_closure,
+    stratum_dimension,
 )
 from irrtypes import G_ZERO, gauss, rootsystems
 from irrtypes.rootsystems import (
     ENUMERATION_GUARD,
     check_enumeration_guard,
     flat_count,
-    kernel_intersection_dim,
     kernel_lattice_basis,
     root_count,
 )
-from irrtypes.scalars import _gi_rref
+from irrtypes.scalars import _gi_rref, _Work
 from fraction_oracles import clear_denominators, in_row_span, kernel_basis, mat_rank, rref
 
 
@@ -319,8 +319,8 @@ class TestOneElimination:
             for _ in range(4):
                 chosen = sorted(rng.sample(range(len(system)), rng.randint(0, len(system))))
                 rows = [system.roots[i] for i in chosen]
-                assert kernel_intersection_dim(system, chosen) == rank - mat_rank(rows)
                 basis = kernel_lattice_basis(system, chosen)
+                assert len(basis) == rank - mat_rank(rows)
                 assert basis == [clear_denominators(v) for v in kernel_basis(rows, rank, Fraction(1), Fraction(0))]
                 for v in basis:
                     assert all(x.denominator == 1 for x in v)
@@ -337,7 +337,7 @@ class TestOneElimination:
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             m = [[(rng.randint(-3, 3), rng.randint(-2, 2)) if rng.random() < 0.7 else (0, 0)
                   for _ in range(ncols)] for _ in range(nrows)]
-            rows, pivots, p = _gi_rref(m, ncols)
+            rows, pivots, p = _gi_rref(m, ncols, _Work(10**9, "unreachable"))
             echelon, oracle_pivots = rref([[gauss(*x) for x in row] for row in m])
             assert pivots == oracle_pivots
             assert [[gauss(*x) / gauss(*p) for x in row] for row in rows[: len(pivots)]] == echelon[: len(pivots)]
@@ -353,7 +353,6 @@ class TestOneElimination:
                 rows = [system.roots[i] for i in levi.sorted_members()]
                 oracle = kernel_basis(rows, system.rank, Fraction(1), Fraction(0))
                 assert kernel_lattice_basis(system, levi.members) == [clear_denominators(v) for v in oracle]
-                assert kernel_intersection_dim(system, levi.members) == len(oracle)
                 flats += 1
         assert flats == 462
 
@@ -374,7 +373,6 @@ class TestOneElimination:
         assert flats == [levi.members for levi in enumerate_levi(base)]
         assert system.semisimple_rank() == base.semisimple_rank()
         for flat in flats:
-            assert kernel_intersection_dim(system, flat) == kernel_intersection_dim(base, flat)
             assert kernel_lattice_basis(system, flat) == kernel_lattice_basis(base, flat)
 
 
@@ -388,7 +386,7 @@ def _char_poly(system, flats):
         mu[flat] = 1 if not flat else -sum(mu[g] for g in mu if g < flat)
     coeffs = [0] * (system.rank + 1)
     for flat in flats:
-        coeffs[kernel_intersection_dim(system, flat)] += mu[flat]
+        coeffs[len(kernel_lattice_basis(system, flat))] += mu[flat]
     return coeffs
 
 
@@ -454,3 +452,39 @@ class TestFiltration:
         system = build_root_system("A", 2)
         with pytest.raises(MalformedInput):
             LeviSubsystem(system, {0})
+
+
+_A3 = build_root_system("A", 3)
+# Levels of A3: nothing, the pair +-(e1 - e4), everything.
+_A3_LEVELS = [[], [0, 11], range(12)]
+
+
+class TestRootWorkBudget:
+    """Each public call that eliminates draws on one ``ROOT_WORK_BUDGET``.
+
+    A pivot step over k rows of n entries of one word each costs 5 k n
+    units.  A3 lives in Q^4 and has rank 3.  Three independent roots take
+    three steps over 3 rows: 180 units.  All 12 roots take three steps
+    over 12 rows: 720.  A filtration pays for each distinct level once:
+    nothing for the empty level, one step over 2 rows (40) for the pair,
+    720 for everything.  The walk pays for every cover it closes.
+    """
+
+    @pytest.mark.parametrize(
+        "call, units",
+        [
+            (lambda: span_closure(_A3, [0, 1, 2]), 180),
+            (lambda: kernel_lattice_basis(_A3, range(12)), 720),
+            (lambda: _A3.semisimple_rank(), 720),
+            (lambda: LeviFiltration(_A3, _A3_LEVELS + [range(12)]), 760),
+            (lambda: stratum_dimension(_A3, 3, [1] + [2] * 10 + [1]), 760),
+            (lambda: enumerate_levi(_A3), 4860),
+        ],
+        ids=["span-closure", "kernel-basis", "semisimple-rank", "filtration", "stratum-levels", "walk"],
+    )
+    def test_budget_counts_exactly(self, monkeypatch, call, units):
+        monkeypatch.setattr(rootsystems, "ROOT_WORK_BUDGET", units)
+        call()
+        monkeypatch.setattr(rootsystems, "ROOT_WORK_BUDGET", units - 1)
+        with pytest.raises(TooLarge, match=f"^root system work exceeds the budget of {units - 1}$"):
+            call()

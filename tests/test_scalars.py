@@ -42,6 +42,7 @@ from irrtypes import (
     gauss,
     stratum_witness,
 )
+from irrtypes import root_order_vector, scalars
 from irrtypes.scalars import LITERAL_DIGIT_BUDGET, _bare, rat_from_str, rat_to_str
 
 
@@ -140,6 +141,27 @@ class TestGaussianField:
     def test_json_rejects_non_strings(self):
         with pytest.raises(MalformedInput):
             GaussianRational.from_json({"re": 1, "im": "0"})
+
+
+class TestIntegerFormBudget:
+    def test_budget_counts_exactly(self, monkeypatch):
+        """The integer form of a vector holds its length times the bits of its
+        common denominator.  The root (1/7, 1/8) scales by 56, of 6 bits, so
+        its form holds 12 bits.  The coefficient vector (1/3, i/5) has four
+        parts over 15, of 4 bits, so its form holds 16."""
+        roots = [(Fraction(1, 7), Fraction(1, 8)), (Fraction(-1, 7), Fraction(-1, 8))]
+        monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 12)
+        system = RootSystem(2, roots)
+        assert system._rows == ((8, 7), (-8, -7))
+        monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 11)
+        with pytest.raises(TooLarge, match="^common denominator exceeds 5 bits$"):
+            RootSystem(2, roots)
+        q = IrregularType(system, 1, [[gauss(Fraction(1, 3)), gauss(0, Fraction(1, 5))]])
+        monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 16)
+        assert root_order_vector(q).orders == (1, 1)
+        monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 15)
+        with pytest.raises(TooLarge, match="^common denominator exceeds 3 bits$"):
+            root_order_vector(q)
 
 
 class TestValueSemantics:

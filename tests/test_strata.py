@@ -34,7 +34,7 @@ from irrtypes import (
 from irrtypes import rootsystems, strata
 from irrtypes.cli import run
 from irrtypes.irregular import irregular_type_to_json
-from irrtypes.rootsystems import kernel_intersection_dim
+from irrtypes.rootsystems import kernel_lattice_basis
 
 A1 = RootSystem(1, [(Fraction(2),), (Fraction(-2),)], family="A1r1")
 A2 = build_root_system("A", 2)
@@ -216,7 +216,7 @@ class TestEnumeration:
 
 def _point_counts(system, p):
     """``fraction_oracles.point_counts`` of the strata at p, from the library's flats."""
-    dims = {levi.members: kernel_intersection_dim(system, levi.members) for levi in enumerate_levi(system)}
+    dims = {levi.members: len(kernel_lattice_basis(system, levi.members)) for levi in enumerate_levi(system)}
     return point_counts(enumerate_strata(system, p), dims)
 
 
@@ -345,8 +345,8 @@ class TestWitness:
 
     def test_self_check_refuses_a_point_off_the_stratum(self, monkeypatch):
         """The closing check recomputes every root order from the integer vectors."""
-        def off_stratum(basis, avoid, dim, spent):
-            return [1] + [0] * (dim - 1), spent  # e_2 - e_3 vanishes here
+        def off_stratum(basis, avoid, dim, work):
+            return [1] + [0] * (dim - 1)  # e_2 - e_3 vanishes here
 
         assert stratum_witness(A2, 1, [1] * 6).p == 1
         monkeypatch.setattr(strata, "_search_off_hyperplanes", off_stratum)
