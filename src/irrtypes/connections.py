@@ -13,13 +13,13 @@ the isomorphism sending z^{-l} to -l z^{-(l+1)} dz and discards the
 residue.  The diagonalization routine brings a leading-regular germ with
 Gaussian-rational spectrum to untwisted shape one pole order at a time.
 
-Germs and gauges store one reduced Gaussian-rational matrix per order of
-their window (-(k+1) .. N-1, or 0 .. order-1).  Products run on Python
-ints: a Laurent matrix (``_Lau``) holds Gaussian-integer coefficient
-matrices, as ``(re, im)`` pairs, over one positive integer denominator.
-``_Lau.of`` converts a window on the way in (``to_lau``) and
-``_Lau.matrix`` reduces each order once on the way out (``from_lau``),
-which wraps the result without re-running the constructor's checks.
+Germs and gauges store one form: a Laurent matrix (``_Lau``), whose
+coefficient at each order is a read-only matrix of Gaussian integers, as
+``(re, im)`` pairs, over one positive integer denominator, in lowest
+terms.  Decoders and constructors build it once, from the lcm of the
+denominators; products run on it directly and reduce their result once
+(``_lowest_terms``); only the public accessors and the codecs build
+Gaussian rationals.
 Inverses and eigenvectors are read off the library's one elimination,
 the fraction-free Gauss-Jordan ``scalars._gi_rref``; like every
 elimination in the library, each draws on a ``scalars._Work`` meter, here
@@ -32,8 +32,10 @@ each root (``_qi_eigenvalues`` documents the method and its error order).
 Every gauge transform, diagonalization and gauge composition may spend
 at most ``GERM_WORK_BUDGET`` word operations; each product is charged
 before it runs, from the sizes of its operands, and an exhausted budget
-raises ``TooLarge``.  The Hensel step has its own bounds on the primes it
-tries (``HENSEL_PRIME_BUDGET``) and on the precision it lifts to
+raises ``TooLarge``.  A germ or gauge is admitted only when its common
+denominator alone would not make one product cost more than that budget.
+The Hensel step has its own bounds on the primes it tries
+(``HENSEL_PRIME_BUDGET``) and on the precision it lifts to
 (``HENSEL_BITS_BUDGET``).
 """
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Module objects, looked up at call time: ``extract_irregular_type``,
@@ -82,7 +85,7 @@ from .scalars import (
 )
 
 GMatrix = List[List[GaussianRational]]
-# One stored coefficient matrix of a germ or gauge window.
+# One coefficient matrix of a germ or gauge, read off its integer form.
 Matrix = Tuple[Tuple[GaussianRational, ...], ...]
 
 
@@ -93,10 +96,6 @@ def gl_cartan_system(r: int) -> rootsystems.RootSystem:
     if r == 1:
         return rootsystems.RootSystem(1, [])
     return rootsystems.build_root_system("A", r - 1)
-
-
-def _zero_matrix(r: int) -> Matrix:
-    return ((G_ZERO,) * r,) * r
 
 
 def _identity_matrix(r: int) -> Matrix:
@@ -120,6 +119,8 @@ def _to_gi(value: GaussianRational, den: int) -> GInt:
 
 
 def _from_gi(value: GInt, den: int) -> GaussianRational:
+    if value == (0, 0):
+        return G_ZERO
     return GaussianRational(Fraction(value[0], den), Fraction(value[1], den))
 
 
@@ -139,12 +140,6 @@ GERM_WORK_BUDGET = 10**9
 def _germ_work() -> _Work:
     """The meter of one gauge transform, diagonalization or gauge composition."""
     return _Work(GERM_WORK_BUDGET, f"connection work exceeds the budget of {GERM_WORK_BUDGET}")
-
-
-def _charge_reduction(work: _Work, lau: "_Lau") -> None:
-    """Pay for reducing each entry of ``lau`` over its denominator: two gcds."""
-    bits = _bits(lau.coeffs.values()) + lau.den.bit_length()
-    work.charge(2 * lau.r**2 * len(lau.coeffs), bits)
 
 
 def _gi_round_div(a: GInt, b: GInt) -> GInt:
@@ -198,6 +193,12 @@ def _gi_char_poly(a: IMatrix) -> List[GInt]:
     return coeffs
 
 
+def _scaled_down(den: int, *matrices: IMatrix) -> Tuple[int, List[IMatrix]]:
+    """The least denominator of ``matrices`` over ``den``, and their numerators over it."""
+    g = gcd(den, *(x for m in matrices for row in m for pair in row for x in pair))
+    return den // g, [[[(re // g, im // g) for re, im in row] for row in m] for m in matrices]
+
+
 def _gi_mat_inverse(m: IMatrix, work: _Work) -> Tuple[IMatrix, int]:
     """(Y, d) with m^{-1} = Y / d and d a positive integer.
 
@@ -209,54 +210,44 @@ def _gi_mat_inverse(m: IMatrix, work: _Work) -> Tuple[IMatrix, int]:
         raise NotAUnit("matrix is singular")
     # rows = [p I | p m^{-1}]; move p's phase into Y, then divide out the
     # content Y and d share (a scalar m gives Y = I).
-    y = _gi_mat_scale([row[n:] for row in rows], (p[0], -p[1]))
-    d = p[0] ** 2 + p[1] ** 2
-    g = gcd(d, *(x for row in y for pair in row for x in pair))
-    return [[(re // g, im // g) for re, im in row] for row in y], d // g
+    d, (y,) = _scaled_down(p[0] ** 2 + p[1] ** 2, _gi_mat_scale([row[n:] for row in rows], (p[0], -p[1])))
+    return y, d
 
 
-class _Lau:
+class _Lau(_Record):
     """Matrix Laurent polynomial with a knowledge bound, over one denominator.
 
-    ``coeffs`` maps orders to r x r matrices of Gaussian integers, each
-    an ``(re, im)`` pair of ints; the coefficient at order l is
-    ``coeffs[l] / den`` for the positive integer ``den``.  Nothing is
-    reduced here: products multiply denominators and sums take their
-    lcm, and ``ConnectionGerm.from_lau`` reduces once.  Orders at or
-    above ``hi`` are unknown (``hi`` None means exactly known
-    everywhere).  ``floor`` is a valuation lower bound used for
-    propagating knowledge through products.
+    ``coeffs`` is a read-only map from orders to r x r tuple matrices of
+    Gaussian integers, each an ``(re, im)`` pair of ints, with zero
+    matrices left out; the coefficient at order l is ``coeffs[l] / den``
+    for the positive integer ``den``.  Products multiply denominators and
+    sums take their lcm, without reducing; what a germ or gauge stores is
+    in lowest terms (gcd of ``den`` and every part is 1), so equal fields
+    mean equal values.  Orders at or above ``hi`` are unknown (``hi``
+    None means exactly known everywhere).  ``floor`` is a valuation lower
+    bound used for propagating knowledge through products.
     """
 
-    __slots__ = ("r", "coeffs", "den", "hi", "floor")
+    __slots__ = __match_args__ = ("r", "coeffs", "den", "hi", "floor")
 
     def __init__(self, r: int, coeffs: Dict[int, IMatrix], den: int, hi: Optional[int], floor: int):
-        self.r = r
-        self.coeffs = {l: m for l, m in coeffs.items() if any(x != (0, 0) for row in m for x in row)}
-        self.den = den
-        self.hi = hi
-        self.floor = floor
-        for l in self.coeffs:
+        kept = {l: tuple(map(tuple, m)) for l, m in coeffs.items() if any(x != (0, 0) for row in m for x in row)}
+        for l in kept:
             if l < floor or (hi is not None and l >= hi):
                 raise MalformedInput("Laurent coefficient outside the known window")
+        _set_fields(self, r=r, coeffs=MappingProxyType(kept), den=den, hi=hi, floor=floor)
 
-    @staticmethod
-    def of(r: int, matrices: Dict[int, GMatrix], hi: Optional[int], floor: int, work: _Work) -> "_Lau":
-        """Exact integer form of Gaussian-rational coefficient matrices.
+    # The coefficients are a read-only view of a dict: copies pass a plain dict.
+    def __reduce__(self):
+        return _Lau, (self.r, dict(self.coeffs), self.den, self.hi, self.floor)
 
-        ``TooLarge`` when the common denominator alone would make one
-        product cost more than ``work`` has left.
-        """
-        den = _common_denominator(_parts(matrices.values()), work.max_bits(r))
-        coeffs = {l: [[_to_gi(x, den) for x in row] for row in m] for l, m in matrices.items()}
-        return _Lau(r, coeffs, den, hi, floor)
+    def at(self, order: int) -> IMatrix:
+        """The integer matrix at ``order``, over ``den``."""
+        return self.coeffs.get(order) or (((0, 0),) * self.r,) * self.r
 
     def matrix(self, order: int) -> Matrix:
         """The coefficient at ``order`` as a reduced Gaussian-rational matrix."""
-        m = self.coeffs.get(order)
-        if m is None:
-            return _zero_matrix(self.r)
-        return tuple(tuple(_from_gi(x, self.den) for x in row) for row in m)
+        return tuple(tuple(_from_gi(x, self.den) for x in row) for row in self.at(order))
 
     def add(self, other: "_Lau") -> "_Lau":
         hi = _min_hi(self.hi, other.hi)
@@ -334,20 +325,30 @@ def _series_matrix_inverse(poly: "_Lau", order: int, work: _Work) -> "_Lau":
     return _Lau(r, out, d**order, order, 0)
 
 
-def _window_lau(r: int, window: Sequence[Matrix], lo: int, hi: Optional[int], work: _Work) -> _Lau:
-    """Integer form of a window whose first matrix sits at order ``lo``."""
-    return _Lau.of(r, dict(enumerate(window, lo)), hi, lo, work)
+def _integer_lau(r: int, matrices: Dict[int, Matrix], hi: Optional[int], floor: int) -> _Lau:
+    """The stored form of Gaussian-rational coefficient matrices: scaled by the
+    lcm of their denominators, so in lowest terms.  ``TooLarge`` when that lcm
+    alone would make one product cost more than ``GERM_WORK_BUDGET``."""
+    den = _common_denominator(_parts(matrices.values()), _germ_work().max_bits(r))
+    return _Lau(r, {l: [[_to_gi(x, den) for x in row] for row in m] for l, m in matrices.items()}, den, hi, floor)
+
+
+def _lowest_terms(lau: _Lau, work: _Work) -> _Lau:
+    """A product in the stored form; ``work`` pays two gcds for each entry."""
+    work.charge(2 * lau.r**2 * len(lau.coeffs), _bits(lau.coeffs.values()) + lau.den.bit_length())
+    den, matrices = _scaled_down(lau.den, *lau.coeffs.values())
+    return _Lau(lau.r, dict(zip(lau.coeffs, matrices)), den, lau.hi, lau.floor)
 
 
 class GaugeElement(_Record):
     """Polynomial matrix gauge with invertible constant term.
 
-    Stores one coefficient matrix per order 0 .. order-1; coefficients
-    beyond the stored degree are exactly zero, so a gauge element
-    carries full information about itself.
+    Stores its coefficients at orders 0 .. order-1 as one ``_Lau``;
+    coefficients beyond the stored degree are exactly zero, so a gauge
+    element carries full information about itself.
     """
 
-    __slots__ = ("r", "order", "_window")
+    __slots__ = ("r", "order", "_lau")
     __match_args__ = ("r", "entries")
 
     def __init__(self, r: int, entries: Sequence[Sequence[Sequence[ScalarLike]]]):
@@ -358,12 +359,10 @@ class GaugeElement(_Record):
         lengths = {len(cell) for row in entries for cell in row}
         if len(lengths) != 1 or min(lengths) < 1:
             raise MalformedInput("gauge entries must share one positive order")
-        window = tuple(_coerce_matrix(m) for m in _by_order(entries))
-        work = _germ_work()
-        den = _common_denominator(_parts(window[:1]), work.max_bits(r))
+        lau = _integer_lau(r, dict(enumerate(_coerce_matrix(m) for m in _by_order(entries))), None, 0)
         # raises NotAUnit when singular
-        _gi_mat_inverse([[_to_gi(x, den) for x in row] for row in window[0]], work)
-        _set_fields(self, r=r, order=len(window), _window=window)
+        _gi_mat_inverse(_scaled_down(lau.den, lau.at(0))[1][0], _germ_work())
+        _set_fields(self, r=r, order=lengths.pop(), _lau=lau)
 
     @staticmethod
     def identity(r: int, order: int = 1) -> "GaugeElement":
@@ -380,22 +379,14 @@ class GaugeElement(_Record):
     @property
     def entries(self) -> Tuple[Tuple[Tuple[GaussianRational, ...], ...], ...]:
         """Read-only view: ``entries[i][j][l]`` is the z^l coefficient of entry (i, j)."""
-        return tuple(tuple(zip(*rows)) for rows in zip(*self._window))
+        return tuple(tuple(zip(*rows)) for rows in zip(*(self._lau.matrix(l) for l in range(self.order))))
 
     def constant_term(self) -> GMatrix:
-        return [list(row) for row in self._window[0]]
+        return [list(row) for row in self._lau.matrix(0)]
 
     def is_identity_mod_z(self) -> bool:
-        return self._window[0] == _identity_matrix(self.r)
-
-    def to_lau(self, work: _Work) -> _Lau:
-        return _window_lau(self.r, self._window, 0, None, work)
-
-    @staticmethod
-    def from_lau(lau: _Lau, order: int) -> "GaugeElement":
-        """Wrap a product of gauges: its constant term is a product of units."""
-        window = tuple(lau.matrix(l) for l in range(order))
-        return _bare(GaugeElement, r=lau.r, order=order, _window=window)
+        r, d = self.r, self._lau.den
+        return self._lau.at(0) == tuple(tuple((d if i == j else 0, 0) for j in range(r)) for i in range(r))
 
     def __repr__(self) -> str:
         return f"GaugeElement(r={self.r}, order={self.order})"
@@ -409,18 +400,18 @@ def gauge_compose(second: GaugeElement, first: GaugeElement) -> GaugeElement:
 def _compose(second: GaugeElement, first: GaugeElement, work: _Work) -> GaugeElement:
     if second.r != first.r:
         raise ShapeMismatch("gauge sizes differ")
-    prod = second.to_lau(work).mul(first.to_lau(work), work)
-    _charge_reduction(work, prod)
-    return GaugeElement.from_lau(prod, second.order + first.order - 1)
+    # its constant term is a product of units
+    prod = _lowest_terms(second._lau.mul(first._lau, work), work)
+    return _bare(GaugeElement, r=second.r, order=second.order + first.order - 1, _lau=prod)
 
 
 class ConnectionGerm(_Record):
     """Matrix of one-forms f_ij dz, exact from order -(k+1) to N-1.
 
-    Stores one coefficient matrix per order of that window.
+    Stores the coefficients of that window as one ``_Lau``.
     """
 
-    __slots__ = ("r", "pole_bound", "precision", "_window")
+    __slots__ = ("r", "pole_bound", "precision", "_lau")
 
     def __init__(
         self,
@@ -446,9 +437,11 @@ class ConnectionGerm(_Record):
                 precisions.add(regular.order)
         if len(precisions) != 1:
             raise MalformedInput("entries must share one regular precision")
+        precision = precisions.pop()
         cells = [[tail.coeffs + regular.coeffs for tail, regular in row] for row in entries]
-        window = tuple(_by_order(cells))
-        _set_fields(self, r=r, pole_bound=pole_bound, precision=precisions.pop(), _window=window)
+        window = dict(enumerate(_by_order(cells), -(pole_bound + 1)))
+        lau = _integer_lau(r, window, precision, -(pole_bound + 1))
+        _set_fields(self, r=r, pole_bound=pole_bound, precision=precision, _lau=lau)
 
     @staticmethod
     def from_order_dict(
@@ -464,43 +457,23 @@ class ConnectionGerm(_Record):
             raise MalformedInput("matrix size must be positive")
         if pole_bound < 0 or precision < 1:
             raise MalformedInput("need pole_bound >= 0 and precision >= 1")
-        zero = _zero_matrix(r)
-        window = tuple(
-            _coerce_matrix(data[l]) if l in data else zero
-            for l in range(-(pole_bound + 1), precision)
-        )
-        return _bare(ConnectionGerm, r=r, pole_bound=pole_bound, precision=precision, _window=window)
+        window = {l: _coerce_matrix(m) for l, m in data.items()}
+        lau = _integer_lau(r, window, precision, -(pole_bound + 1))
+        return _bare(ConnectionGerm, r=r, pole_bound=pole_bound, precision=precision, _lau=lau)
 
-    def _matrix(self, order: int) -> Matrix:
-        if order < -(self.pole_bound + 1):
-            return _zero_matrix(self.r)
-        if order < self.precision:
-            return self._window[order + self.pole_bound + 1]
-        raise PrecisionExhausted(f"order {order} beyond the stored precision")
+    def _integer_matrix(self, order: int) -> IMatrix:
+        if order >= self.precision:
+            raise PrecisionExhausted(f"order {order} beyond the stored precision")
+        return self._lau.at(order)
 
     def coefficient(self, i: int, j: int, order: int) -> GaussianRational:
-        return self._matrix(order)[i][j]
+        return _from_gi(self._integer_matrix(order)[i][j], self._lau.den)
 
     def coefficient_matrix(self, order: int) -> GMatrix:
-        return [list(row) for row in self._matrix(order)]
-
-    def to_lau(self, work: _Work) -> _Lau:
-        return _window_lau(self.r, self._window, -(self.pole_bound + 1), self.precision, work)
-
-    @staticmethod
-    def from_lau(lau: _Lau, pole_bound: int) -> "ConnectionGerm":
-        if lau.hi is None:
-            raise MalformedInput("a germ needs a finite precision bound")
-        if lau.hi < 1:
-            raise PrecisionExhausted("resulting germ has no regular coefficients left")
-        for l in lau.coeffs:
-            if l < -(pole_bound + 1):
-                raise MalformedInput("pole deeper than the declared bound")
-        window = tuple(lau.matrix(l) for l in range(-(pole_bound + 1), lau.hi))
-        return _bare(ConnectionGerm, r=lau.r, pole_bound=pole_bound, precision=lau.hi, _window=window)
+        return [[_from_gi(x, self._lau.den) for x in row] for row in self._integer_matrix(order)]
 
     def __reduce__(self):
-        by_order = dict(enumerate(self._window, -(self.pole_bound + 1)))
+        by_order = {l: self._lau.matrix(l) for l in self._lau.coeffs}
         return ConnectionGerm.from_order_dict, (self.r, self.pole_bound, self.precision, by_order)
 
     def __eq__(self, other: object) -> bool:
@@ -508,7 +481,9 @@ class ConnectionGerm(_Record):
             isinstance(other, ConnectionGerm)
             and self.r == other.r
             and self.pole_bound == other.pole_bound
-            and self._window == other._window
+            and self.precision == other.precision
+            and self._lau.den == other._lau.den
+            and self._lau.coeffs == other._lau.coeffs
         )
 
     __hash__ = None
@@ -535,19 +510,17 @@ def _transform(germ: ConnectionGerm, g: GaugeElement, work: _Work) -> Connection
     if germ.r != g.r:
         raise ShapeMismatch("gauge and germ sizes differ")
     depth = germ.pole_bound + 1
-    glau = g.to_lau(work)
-    ginv = _series_matrix_inverse(glau, germ.precision + depth, work)
-    total = glau.mul(germ.to_lau(work), work).add(glau.derivative()).mul(ginv, work)
-    _charge_reduction(work, total)
-    return ConnectionGerm.from_lau(total, germ.pole_bound)
+    ginv = _series_matrix_inverse(g._lau, germ.precision + depth, work)
+    total = g._lau.mul(germ._lau, work).add(g._lau.derivative()).mul(ginv, work)
+    # known from order -depth to the germ's precision, as the input
+    lau = _lowest_terms(total, work)
+    return _bare(ConnectionGerm, r=germ.r, pole_bound=germ.pole_bound, precision=germ.precision, _lau=lau)
 
 
 def is_untwisted_in_basis(germ: ConnectionGerm) -> bool:
     """Off-diagonal coefficients vanish at z^{-j} dz for every j >= 2."""
-    # orders -(k+1) .. -2 are the first k matrices of the window
-    return not any(
-        x for m in germ._window[: germ.pole_bound] for i, row in enumerate(m) for j, x in enumerate(row) if i != j
-    )
+    principal = (m for l, m in germ._lau.coeffs.items() if l <= -2)
+    return not any(x != (0, 0) for m in principal for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
 
 
 # Most root entries, r x r(r - 1), the extracted type of an r x r germ may
@@ -739,15 +712,6 @@ def _eigenvector(scaled: IMatrix, x: GInt, work: _Work) -> List[GInt]:
     return vec
 
 
-def _principal_diagonal_ok(germ: ConnectionGerm) -> bool:
-    if not is_untwisted_in_basis(germ):
-        return False
-    leading = germ.coefficient_matrix(-(germ.pole_bound + 1))
-    return all(
-        not leading[i][j] for i in range(germ.r) for j in range(germ.r) if i != j
-    )
-
-
 def leading_regular_diagonalize(
     germ: ConnectionGerm,
 ) -> Tuple[GaugeElement, ConnectionGerm]:
@@ -770,7 +734,7 @@ def leading_regular_diagonalize(
         )
     r = germ.r
     leading = germ.coefficient_matrix(-(k + 1))
-    if _principal_diagonal_ok(germ):
+    if is_untwisted_in_basis(germ):
         diag = [leading[i][i] for i in range(r)]
         if len({(d.re, d.im) for d in diag}) != r:
             raise LeadingNotRegular("repeated leading diagonal entries")
@@ -780,14 +744,13 @@ def leading_regular_diagonalize(
     # The change of basis has the eigenvectors v_j, scaled to lead with 1,
     # as columns: with V their integer matrix and L = diag(lead_j), the
     # constant gauge is its inverse L V^{-1}.
-    c = _common_denominator(_parts([leading]), HENSEL_BITS_BUDGET)
-    scaled = [[_to_gi(x, c) for x in row] for row in leading]
+    c, (scaled,) = _scaled_down(germ._lau.den, germ._lau.at(-(k + 1)))
     vectors = [_eigenvector(scaled, _to_gi(lam, c), work) for lam in values]
     y, d = _gi_mat_inverse([[v[i] for v in vectors] for i in range(r)], work)
     leads = [next(x for x in v if x != (0, 0)) for v in vectors]
-    constant = tuple(tuple(_from_gi(_gi_mul(leads[j], y[j][i]), d) for i in range(r)) for j in range(r))
+    den, (constant,) = _scaled_down(d, [[_gi_mul(leads[j], y[j][i]) for i in range(r)] for j in range(r)])
     # built from checked parts: V and its inverse are units
-    total = _bare(GaugeElement, r=r, order=1, _window=(constant,))
+    total = _bare(GaugeElement, r=r, order=1, _lau=_Lau(r, {0: constant}, den, None, 0))
     current = _transform(germ, total, work)
     for j in range(1, k):
         target = j - k - 1
@@ -802,8 +765,8 @@ def leading_regular_diagonalize(
         if not any(x for row in correction for x in row):
             continue
         # 1 + C z^j: its constant term is the identity
-        window = (_identity_matrix(r),) + (_zero_matrix(r),) * (j - 1) + (correction,)
-        step = _bare(GaugeElement, r=r, order=j + 1, _window=window)
+        lau = _integer_lau(r, {0: _identity_matrix(r), j: correction}, None, 0)
+        step = _bare(GaugeElement, r=r, order=j + 1, _lau=lau)
         current = _transform(current, step, work)
         total = _compose(step, total, work)
     if not is_untwisted_in_basis(current):
@@ -812,21 +775,14 @@ def leading_regular_diagonalize(
 
 
 def germ_to_json(germ: ConnectionGerm) -> dict:
-    def orders(i: int, j: int, lo: int, hi: int) -> list:
-        return _vector_to_json([germ.coefficient(i, j, l) for l in range(lo, hi)])
-
     depth = germ.pole_bound + 1
+    window = [germ._lau.matrix(l) for l in range(-depth, germ.precision)]
+    cells = [[_vector_to_json([m[i][j] for m in window]) for j in range(germ.r)] for i in range(germ.r)]
     return {
         "r": germ.r,
         "pole_bound": germ.pole_bound,
         "precision": germ.precision,
-        "entries": [
-            [
-                {"tail": orders(i, j, -depth, 0), "regular": orders(i, j, 0, germ.precision)}
-                for j in range(germ.r)
-            ]
-            for i in range(germ.r)
-        ],
+        "entries": [[{"tail": cell[:depth], "regular": cell[depth:]} for cell in row] for row in cells],
     }
 
 

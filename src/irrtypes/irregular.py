@@ -153,7 +153,7 @@ def _integer_parts(vector: Sequence[GaussianRational]) -> List[List[int]]:
     """``vector`` times the lcm of its denominators: its integer real part, and
     its imaginary part when that is nonzero.  A real row kills the vector
     exactly when it kills every part."""
-    scaled = _integer_form([x.re for x in vector] + [x.im for x in vector])
+    scaled = _integer_form([x.re for x in vector] + [x.im for x in vector])[0]
     re, im = scaled[: len(vector)], scaled[len(vector) :]
     return [re, im] if any(im) else [re]
 

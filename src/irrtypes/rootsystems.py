@@ -15,10 +15,11 @@ Each root is stored once more as its positive multiple that is a
 primitive integer row, ``RootSystem._rows``, a tuple of plain ints: the
 same spans and kernels, negation pairs kept, and the same zero pairings,
 so every root order question reads these rows; ``scalars._integer_form``
-scales them, under its bound.  Spans, ranks and kernels are read off the
-library's one elimination, ``scalars._gi_rref``, which works on
-Gaussian-integer pairs; ``_echelon`` alone lifts the rows to (x, 0) pairs
-for it and reads its result back as plain ints.  Every elimination draws
+scales one root of each negation pair, all under one bound.  Spans, ranks
+and kernels are read off the library's one elimination,
+``scalars._gi_rref``, which works on Gaussian-integer pairs; ``_echelon``
+alone lifts the rows to (x, 0) pairs for it and reads its result back as
+plain ints.  Every elimination draws
 on a ``scalars._Work`` meter: each public call that eliminates, such as a
 walk of the flat lattice, a span closure or a filtration check, gets one
 meter of ``ROOT_WORK_BUDGET`` for all its eliminations.
@@ -114,7 +115,7 @@ class RootSystem(_Record):
             if neg not in index:
                 raise MalformedInput(f"root set not closed under negation at {vec}")
             negation.append(index[neg])
-        rows = tuple(_integer_row(vec) for vec in vecs)
+        rows = _integer_rows(vecs, negation)
         _set_fields(
             self, rank=rank, roots=tuple(vecs), family=family, _index=index, _negation=tuple(negation), _rows=rows
         )
@@ -139,11 +140,21 @@ class RootSystem(_Record):
         return len(_echelon(self, range(len(self)), _root_work())[1])
 
 
-def _integer_row(vec: RootVector) -> Tuple[int, ...]:
-    """``vec`` times a positive rational: a primitive integer row."""
-    ints = _integer_form(vec)
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+def _integer_rows(vecs: Sequence[RootVector], negation: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Each root times a positive rational: a primitive integer row.  The row
+    of -v is minus the row of v, and every pair draws on one allowance of
+    ``INTEGER_FORM_BUDGET`` bits."""
+    rows: List[Tuple[int, ...]] = []
+    spent = 0
+    for i, vec in enumerate(vecs):
+        if negation[i] < i:
+            rows.append(tuple(-x for x in rows[negation[i]]))
+            continue
+        ints, bits = _integer_form(vec, spent)
+        spent += bits
+        g = gcd(*ints)
+        rows.append(tuple(x // g for x in ints))
+    return tuple(rows)
 
 
 def _echelon(system: RootSystem, members: Iterable[int], work: _Work) -> Tuple[Echelon, List[int], int]:

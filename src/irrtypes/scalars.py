@@ -23,8 +23,9 @@ spans for :mod:`irrtypes.rootsystems`, inverses and eigenvectors for
 library's one work meter, which also carries the substitution and witness
 search budgets, all under its one word-cost rule.  Rational vectors reach
 the integers by one scaling rule: ``_common_denominator`` stops once the
-lcm passes a bit bound, and ``_integer_form`` scales root rows and
-coefficient vectors under ``INTEGER_FORM_BUDGET``.
+lcm passes a bit bound, and ``_integer_form`` scales coefficient vectors,
+each under ``INTEGER_FORM_BUDGET``, and the roots of a root system, all
+under one.
 """
 
 from __future__ import annotations
@@ -347,17 +348,20 @@ def _common_denominator(values: Iterable[Fraction], max_bits: int) -> int:
     return den
 
 
-# Most bits the integer form of one rational vector may hold: its length
-# times the bits of its common denominator.  Literals have at most 4,300
-# digits, so no vector of 17 entries or fewer is refused.
+# Most bits the integer form of one rational vector, or of all the roots of
+# one root system, may hold: the length of each vector times the bits of its
+# common denominator.  Literals have at most 4,300 digits, so no single
+# vector of 17 entries or fewer is refused.
 INTEGER_FORM_BUDGET = 1 << 22
 
 
-def _integer_form(values: Sequence[Fraction]) -> List[int]:
-    """``values`` times the lcm of their denominators, as ints; ``TooLarge``
-    when that form would hold more than ``INTEGER_FORM_BUDGET`` bits."""
-    den = _common_denominator(values, INTEGER_FORM_BUDGET // max(1, len(values)))
-    return [x.numerator * (den // x.denominator) for x in values]
+def _integer_form(values: Sequence[Fraction], spent: int = 0) -> Tuple[List[int], int]:
+    """``values`` times the lcm of their denominators, as ints, and the bits
+    that form holds; ``TooLarge`` when it would hold more than the
+    ``spent`` bits leave of ``INTEGER_FORM_BUDGET``."""
+    n = max(1, len(values))
+    den = _common_denominator(values, (INTEGER_FORM_BUDGET - spent) // n)
+    return [x.numerator * (den // x.denominator) for x in values], n * den.bit_length()
 
 
 def _gi_mul(a: GInt, b: GInt) -> GInt:

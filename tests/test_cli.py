@@ -534,6 +534,19 @@ class TestErrorChannel:
         document = {"rank": 50, "roots": [v, ["-" + x for x in v]], "family": None}
         self._assert_refused_promptly(["levi", "list"], document, "common denominator exceeds 83886 bits")
 
+    def test_root_pairs_share_one_integer_form_allowance(self):
+        """Ten pairs +-v_j in Q^17 whose 170 entries 1/(10^4299 + 2m + 1) all
+        differ, 1.46 MB: each v_j alone fits ``INTEGER_FORM_BUDGET``, and
+        scaling all twenty roots took 9 s.  The pairs share one allowance, so
+        the second v_j is refused."""
+        tiny = self._tiny_entries(170)
+        roots = []
+        for j in range(10):
+            v = tiny[17 * j : 17 * (j + 1)]
+            roots += [v, ["-" + x for x in v]]
+        document = {"rank": 17, "roots": roots, "family": None}
+        self._assert_refused_promptly(["levi", "list"], document, "common denominator exceeds 3970 bits")
+
     def test_coefficients_with_a_huge_common_denominator_exit_three_promptly(self):
         """+-(e1 - e2) in Q^200 with one coefficient vector of such entries,
         0.87 MB: unbounded, classifying it takes 26 s."""
@@ -542,6 +555,23 @@ class TestErrorChannel:
         coefficients = [[{"re": x, "im": "0"} for x in self._tiny_entries(200)]]
         document = {"rootsystem": system, "p": 1, "coefficients": coefficients}
         self._assert_refused_promptly(["classify"], document, "common denominator exceeds 10485 bits")
+
+    @pytest.mark.parametrize("command", ["extract", "diagonalize"])
+    def test_germ_with_a_huge_common_denominator_exits_three_promptly(self, command):
+        """A diagonal 10 x 10 germ whose residue lists six such entries, 35 KB:
+        its integer form would need a denominator of about 85,700 bits, past
+        what one 10 x 10 product may use of ``GERM_WORK_BUDGET``."""
+        tiny = self._tiny_entries(6)
+
+        def cell(i, j):
+            lead, residue = (str(i + 1), tiny[i] if i < 6 else "0") if i == j else ("0", "0")
+            return {
+                "tail": [{"re": lead, "im": "0"}, {"re": residue, "im": "0"}],
+                "regular": [{"re": "0", "im": "0"}],
+            }
+
+        document = {"r": 10, "pole_bound": 1, "precision": 1, "entries": [[cell(i, j) for j in range(10)] for i in range(10)]}
+        self._assert_refused_promptly(["connection", command], document, "common denominator exceeds 64000 bits")
 
     def test_witness_in_a_large_rank_exits_three_promptly(self):
         """Rank 4,000 with no roots: one kernel basis of 4,000 vectors."""

@@ -1,7 +1,10 @@
 """Formal connection germs: gauge moves, extraction, diagonalization."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -592,3 +595,142 @@ class TestQiEigenvalues:
         monkeypatch.setattr(connections, "HENSEL_PRIME_BUDGET", 0)
         with pytest.raises(TooLarge):
             connections._qi_eigenvalues(split, connections._germ_work())
+
+
+# A 3 x 3 germ of pole bound 2 with upper triangular leading term (spectrum
+# 1, 2, 3), and a gauge of order 2: fixed small inputs for the meter.
+_METER_GERM = {
+    -3: [[1, 1, 0], [0, 2, 1], [0, 0, 3]],
+    -2: [[0, Fraction(1, 2), 1], [1, 0, gauss(0, 1)], [2, 0, 1]],
+    -1: [[1, 0, 0], [0, Fraction(-1, 3), 0], [0, 1, 0]],
+    1: [[0, 1, 0], [0, 0, 0], [1, 0, 2]],
+}
+_METER_GAUGE = [
+    [[1, 2], [1, 0], [0, Fraction(1, 3)]],
+    [[0, 1], [1, gauss(0, 1)], [0, 0]],
+    [[2, 0], [0, 1], [1, -1]],
+]
+_METER_SECOND = [[1, 0, 2], [0, 1, 0], [1, 0, 3]]
+# The same gauge with a 72-bit denominator at order 1: the constructor still
+# inverts its constant term over that term's own denominator.
+_METER_WIDE_GAUGE = [[[1, 2], [1, 0], [0, Fraction(1, 3**45)]]] + _METER_GAUGE[1:]
+
+
+class TestGermWorkBudget:
+    """Each public germ operation draws on one ``GERM_WORK_BUDGET`` meter.
+
+    The thresholds are the sums of what each call charges on these inputs,
+    every charged operand below 64 bits: the constructor pays 270 units
+    for the fraction-free inverse of its constant term (three pivot steps
+    of 5 x 3 x 6); the composition pays 54 for one product of two orders
+    by one and 36 for reducing its two orders; the transform and the
+    diagonalization add the series inverse, their products, the
+    eigenvalue search and the eigenvectors."""
+
+    @pytest.mark.parametrize(
+        "operation, units",
+        [
+            ("constructor", 270),
+            ("wide constructor", 270),
+            ("compose", 90),
+            ("transform", 1170),
+            ("diagonalize", 2790),
+        ],
+    )
+    def test_budget_counts_exactly(self, monkeypatch, operation, units):
+        germ = ConnectionGerm.from_order_dict(3, 2, 2, _METER_GERM)
+        gauge = GaugeElement(3, _METER_GAUGE)
+        second = GaugeElement.from_constant(_METER_SECOND)
+        call = {
+            "constructor": lambda: GaugeElement(3, _METER_GAUGE),
+            "wide constructor": lambda: GaugeElement(3, _METER_WIDE_GAUGE),
+            "compose": lambda: gauge_compose(second, gauge),
+            "transform": lambda: gauge_transform(germ, gauge),
+            "diagonalize": lambda: leading_regular_diagonalize(germ),
+        }[operation]
+        monkeypatch.setattr(connections, "GERM_WORK_BUDGET", units)
+        call()
+        monkeypatch.setattr(connections, "GERM_WORK_BUDGET", units - 1)
+        with pytest.raises(TooLarge, match=f"^connection work exceeds the budget of {units - 1}$"):
+            call()
+
+
+def _stored_parts(value):
+    return [x for m in value._lau.coeffs.values() for row in m for pair in row for x in pair]
+
+
+class TestStoredForm:
+    """Germs and gauges hold one integer form, in lowest terms and read-only."""
+
+    @staticmethod
+    def _germs():
+        # entries that share no denominator, and random Gaussian ones
+        coprime = ConnectionGerm.from_order_dict(
+            2, 1, 2,
+            {-2: [[Fraction(1, 2), 0], [0, Fraction(1, 3)]], -1: [[0, Fraction(1, 5)], [Fraction(2, 7), 0]], 1: [[Fraction(1, 11), 0], [0, 0]]},
+        )
+        rng = random.Random(11)
+        germs = [coprime]
+        for _ in range(6):
+            r, k, n = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
+            data = {
+                l: [[gauss(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(-2, 2)) for _ in range(r)] for _ in range(r)]
+                for l in range(-(k + 1), n)
+                if rng.random() < 0.7
+            }
+            germs.append(ConnectionGerm.from_order_dict(r, k, n, data))
+        return germs
+
+    def test_identity_and_scalar_gauges_leave_a_germ_unchanged(self):
+        """Products multiply denominators; the stored result is reduced again,
+        so a gauge that acts trivially gives an equal germ."""
+        for germ in self._germs():
+            r = germ.r
+            for g in (
+                GaugeElement.identity(r),
+                GaugeElement.identity(r, 3),
+                GaugeElement.from_constant([[gauss(Fraction(2, 3)) if i == j else 0 for j in range(r)] for i in range(r)]),
+            ):
+                moved = gauge_transform(germ, g)
+                assert moved == germ
+                assert moved._lau.den == germ._lau.den and moved._lau.coeffs == germ._lau.coeffs
+
+    def test_stored_form_is_in_lowest_terms(self):
+        germ = self._germs()[0]
+        g = GaugeElement(2, [[[gauss(2), gauss(Fraction(1, 3))], [0, 0]], [[0, 0], [gauss(4), gauss(0, 1)]]])
+        moved = gauge_transform(germ, g)
+        gauge, diagonal = leading_regular_diagonalize(moved)
+        composed = gauge_compose(g, gauge)
+        for value in (germ, g, moved, gauge, diagonal, composed):
+            assert gcd(value._lau.den, *_stored_parts(value)) == 1
+
+    def test_round_trips_of_computed_values_compare_equal(self):
+        germ = self._germs()[0]
+        g = GaugeElement(2, [[[gauss(1), gauss(Fraction(1, 3))], [0, gauss(2)]], [[gauss(0, 1), 0], [gauss(1), gauss(5)]]])
+        moved = gauge_transform(germ, g)
+        gauge, diagonal = leading_regular_diagonalize(moved)
+        composed = gauge_compose(g, gauge)
+        for value in (moved, diagonal):
+            assert germ_from_json(germ_to_json(value)) == value
+        for value in (gauge, composed):
+            assert gauge_from_json(gauge_to_json(value)) == value
+        for value in (moved, diagonal, gauge, composed):
+            for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(clone) is type(value) and clone == value
+                assert clone._lau.den == value._lau.den and clone._lau.coeffs == value._lau.coeffs
+            for clone in (copy.deepcopy(value._lau), pickle.loads(pickle.dumps(value._lau))):
+                assert clone == value._lau
+
+    def test_stored_form_cannot_change(self):
+        germ = gauge_transform(self._germs()[0], GaugeElement.identity(2, 2))
+        gauge = GaugeElement.identity(2, 2)
+        for value in (germ, gauge):
+            order = next(iter(value._lau.coeffs))
+            with pytest.raises(TypeError):
+                value._lau.coeffs[order] = (((1, 0),) * 2,) * 2
+            with pytest.raises(TypeError):
+                value._lau.coeffs[order][0][0] = (1, 0)
+            with pytest.raises(AttributeError):
+                value._lau.den = 1
+            with pytest.raises(AttributeError):
+                value._lau = None

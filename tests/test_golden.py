@@ -11,6 +11,9 @@ that moved.
 
 A change that alters canonical output on purpose regenerates the file
 with ``python tests/test_golden.py`` and names the requests it moved.
+``python tests/test_golden.py --check`` replays and compares without
+writing, on the standard library alone, so any local interpreter can run
+it against ``src``; it exits 1 when a request or a response moved.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import io
 import json
 import sys
 from pathlib import Path
-
-import pytest
+from typing import List
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -67,23 +69,32 @@ def replay(workload: str):
     return rows
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_replay_matches_golden(workload):
+def differences(workload: str) -> List[str]:
+    """How a replay of ``workload`` differs from ``golden.json``, one line each."""
     golden = json.loads(GOLDEN.read_text())
-    assert (golden["seed"], golden["pass"]) == (SEED, PASS)
+    if (golden["seed"], golden["pass"]) != (SEED, PASS):
+        return [f"{GOLDEN.name} holds seed {golden['seed']}, pass {golden['pass']}"]
     expected = golden["workloads"][workload]
     rows = replay(workload)
-    requests = [row[2] for row in rows]
-    assert requests == [entry["request"] for entry in expected], (
-        f"the benchmark's {workload} requests changed; regenerate {GOLDEN.name} "
-        "with `python tests/test_golden.py`"
-    )
-    moved = [
+    if [row[2] for row in rows] != [entry["request"] for entry in expected]:
+        return [
+            f"the benchmark's {workload} requests changed; regenerate {GOLDEN.name} "
+            "with `python tests/test_golden.py`"
+        ]
+    return [
         f"{workload}[{index}] {kind} {argv}"
         for index, ((kind, argv, _, response), entry) in enumerate(zip(rows, expected))
         if response != entry["response"]
     ]
-    assert not moved, "responses moved:\n" + "\n".join(moved)
+
+
+def pytest_generate_tests(metafunc):
+    metafunc.parametrize("workload", workloads.WORKLOADS)
+
+
+def test_replay_matches_golden(workload):
+    moved = differences(workload)
+    assert not moved, f"{GOLDEN.name} differs:\n" + "\n".join(moved)
 
 
 def write_golden() -> None:
@@ -99,5 +110,9 @@ def write_golden() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        moved = [line for workload in workloads.WORKLOADS for line in differences(workload)]
+        print("\n".join(moved) or f"Python {sys.version.split()[0]}: every response matches {GOLDEN.name}")
+        sys.exit(1 if moved else 0)
     write_golden()
     print(f"wrote {GOLDEN}")

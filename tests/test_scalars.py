@@ -42,7 +42,7 @@ from irrtypes import (
     gauss,
     stratum_witness,
 )
-from irrtypes import root_order_vector, scalars
+from irrtypes import connections, root_order_vector, scalars
 from irrtypes.scalars import LITERAL_DIGIT_BUDGET, _bare, rat_from_str, rat_to_str
 
 
@@ -162,6 +162,20 @@ class TestIntegerFormBudget:
         monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 15)
         with pytest.raises(TooLarge, match="^common denominator exceeds 3 bits$"):
             root_order_vector(q)
+
+
+class TestRootIntegerFormAllowance:
+    def test_pairs_share_one_allowance_and_negations_cost_nothing(self, monkeypatch):
+        """(1/7, 1/8) holds 12 bits and (1/3, 1/5) 8: their negations reuse the
+        rows, so the system holds 20.  At 19 the second vector may use
+        (19 - 12) // 2 = 3 bits."""
+        roots = [(Fraction(1, 7), Fraction(1, 8)), (Fraction(1, 3), Fraction(1, 5))]
+        roots += [tuple(-x for x in v) for v in roots]
+        monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 20)
+        assert RootSystem(2, roots)._rows == ((8, 7), (5, 3), (-8, -7), (-5, -3))
+        monkeypatch.setattr(scalars, "INTEGER_FORM_BUDGET", 19)
+        with pytest.raises(TooLarge, match="^common denominator exceeds 3 bits$"):
+            RootSystem(2, roots)
 
 
 class TestValueSemantics:
@@ -369,8 +383,8 @@ def test_polynomials_and_germs_are_records_with_their_own_hash_rules():
     assert hash(poly) == hash(MultiPoly(("x", "y"), {(0, 2): gauss(0, 1), (1, 0): gauss(2)}))
     with pytest.raises(TypeError):
         hash(germ)
-    assert poly != poly.terms and germ != germ._window
-    germ_fields = ("r", "pole_bound", "precision", "_window")
+    assert poly != poly.terms and germ != germ._lau
+    germ_fields = ("r", "pole_bound", "precision", "_lau")
     for value, fields in ((poly, ("variables", "terms")), (germ, germ_fields)):
         for name in fields + ("extra",):
             with pytest.raises(AttributeError):
@@ -386,7 +400,8 @@ def test_polynomials_and_germs_are_records_with_their_own_hash_rules():
     [
         _bare(LeviSubsystem, system=_A2, members=frozenset({0, 1})),
         _bare(RootOrderVector, rootsystem=_A2, p=1, orders=(7,) * 6),
-        _bare(ConnectionGerm, r=1, pole_bound=0, precision=1, _window=((), ())),
+        # a germ of window -1 .. 0 holding a coefficient at order -5
+        _bare(ConnectionGerm, r=1, pole_bound=0, precision=1, _lau=connections._Lau(1, {-5: [[(1, 0)]]}, 1, 1, -5)),
     ],
     ids=["LeviSubsystem", "RootOrderVector", "ConnectionGerm"],
 )
